@@ -5,7 +5,7 @@ set -eu
 cargo build --release
 cargo test -q
 cargo fmt --check
-cargo clippy -- -D warnings
+cargo clippy --workspace -- -D warnings
 
 # Static analysis: the workspace must be clean modulo the committed baseline,
 # and the baseline itself may only shrink (the ratchet). The second check is

@@ -264,7 +264,7 @@ fn soak_seed(seed: u64, requests: usize, root: &Path) -> Result<String, String> 
     if corrupted {
         let stat = with_retry(&dir, Client::stat).map_err(|e| format!("life 2 stat: {e}"))?;
         let healed =
-            stat.get("mappings_healed").and_then(spacea_harness::json::Json::as_u64).unwrap_or(0);
+            stat.get("mappings_healed").and_then(spacea_obs::json::Json::as_u64).unwrap_or(0);
         if healed == 0 {
             return Err("life 2 startup corruption was armed but nothing was healed".into());
         }

@@ -23,7 +23,9 @@
 //! * [`ResultStore`] optionally persists every result as one JSON file per
 //!   key (default directory `target/spacea-cache/`), so a re-run only
 //!   simulates what changed. Floats are stored as IEEE-754 bit patterns and
-//!   round-trip exactly.
+//!   round-trip exactly. The cache, the mapping store and the manifest all
+//!   use the workspace's one JSON codec, `spacea_obs::json`, which this
+//!   crate re-exports as [`json`].
 //! * [`RunManifest`] records per-job telemetry — wall time, simulated
 //!   cycles, events processed, cache hit/miss — as JSON plus a
 //!   human-readable summary.
@@ -42,7 +44,6 @@
 
 pub mod exec;
 pub mod job;
-pub mod json;
 pub mod mapstore;
 pub mod store;
 pub mod sweep;
@@ -66,6 +67,10 @@ pub use timeline::TimelineConfig;
 // Fault-injection, watchdog and observation knobs, re-exported so harness
 // users (the sweep binary, tests) need not depend on the arch crate directly.
 pub use spacea_arch::{FaultPlan, ObserveConfig, StallDiagnosis, WatchdogConfig};
+
+// The workspace's one JSON codec, re-exported for callers that reach it
+// through the harness.
+pub use spacea_obs::json;
 
 /// The default on-disk cache location, relative to the workspace root.
 pub const DEFAULT_CACHE_DIR: &str = "target/spacea-cache";

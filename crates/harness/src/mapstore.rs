@@ -15,9 +15,9 @@
 //! compute (which overwrites it).
 
 use crate::job::Fnv;
-use crate::json::{parse, Json};
 use spacea_mapping::{MachineShape, MapKind, Mapping, Placement, RowAssignment};
 use spacea_matrix::Csr;
+use spacea_obs::json::{parse, Json};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -143,7 +143,7 @@ impl MappingStore {
     }
 }
 
-/// Encodes a mapping as the harness JSON dialect.
+/// Encodes a mapping as JSON (indices as exact integers).
 fn encode_mapping(m: &Mapping) -> Json {
     let rows_of: Vec<Json> = (0..m.assignment.num_pes())
         .map(|p| Json::Arr(m.assignment.rows_of(p).iter().map(|&r| Json::U64(r as u64)).collect()))

@@ -2,10 +2,10 @@
 //! with a persisted per-key index (`index.json`) driving cache GC.
 
 use crate::job::JobKey;
-use crate::json::{self, Json};
 use spacea_arch::SimReport;
 use spacea_gpu::GpuRun;
 use spacea_model::ActivitySummary;
+use spacea_obs::json::{self, Json};
 use spacea_sim::stats::{CamCounters, LdqCounters, SramCounters};
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};

@@ -2,9 +2,9 @@
 //! human-readable summary.
 
 use crate::job::JobKey;
-use crate::json::Json;
 use crate::mapstore::MappingStats;
 use crate::store::{CacheOutcome, CacheStats};
+use spacea_obs::json::Json;
 
 /// How one supervised job ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -240,7 +240,7 @@ impl RunManifest {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
+    use spacea_obs::json;
 
     fn manifest() -> RunManifest {
         RunManifest {

@@ -165,7 +165,7 @@ struct FileItems {
     sinks: Vec<Vec<SinkUse>>,
 }
 
-fn ident_at<'t>(tokens: &'t [Token], i: usize) -> Option<&'t str> {
+fn ident_at(tokens: &[Token], i: usize) -> Option<&str> {
     match tokens.get(i).map(|t| &t.kind) {
         Some(TokKind::Ident(s)) => Some(s.as_str()),
         _ => None,
@@ -571,8 +571,8 @@ impl CallGraph {
         let mut parent: BTreeMap<usize, usize> = BTreeMap::new();
         let mut queue: std::collections::VecDeque<usize> = std::collections::VecDeque::new();
         for &r in &roots {
-            if !parent.contains_key(&r) {
-                parent.insert(r, r);
+            if let std::collections::btree_map::Entry::Vacant(e) = parent.entry(r) {
+                e.insert(r);
                 queue.push_back(r);
             }
         }
@@ -943,10 +943,10 @@ impl Machine {
         let json = g.to_json();
         let parsed = spacea_obs::json::parse(&json).expect("graph JSON must parse");
         assert_eq!(
-            parsed.get("schema").and_then(spacea_obs::json::Value::as_str),
+            parsed.get("schema").and_then(spacea_obs::json::Json::as_str),
             Some("spacea-lint-graph-v1")
         );
-        let defs = parsed.get("defs").and_then(spacea_obs::json::Value::as_arr).unwrap();
+        let defs = parsed.get("defs").and_then(spacea_obs::json::Json::as_arr).unwrap();
         assert_eq!(defs.len(), g.defs.len());
     }
 

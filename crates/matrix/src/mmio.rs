@@ -83,9 +83,15 @@ pub fn read_str(text: &str) -> Result<Csr, MatrixError> {
         return Err(parse_err(size_line_no + 1, "size line must be 'rows cols nnz'"));
     }
     let (rows, cols, nnz) = (dims[0], dims[1], dims[2]);
+    if rows > u32::MAX as usize || cols > u32::MAX as usize {
+        return Err(parse_err(size_line_no + 1, "dimensions must fit in 4-byte indices"));
+    }
 
+    // The header is untrusted: reserve no more entries than the text can
+    // hold (each entry line takes at least "r c\n", 4 bytes).
+    let bound = nnz.min(text.len() / 4);
     let mut coo = Coo::new(rows, cols);
-    coo.reserve(if symmetry == Symmetry::Symmetric { nnz * 2 } else { nnz });
+    coo.reserve(if symmetry == Symmetry::Symmetric { bound.saturating_mul(2) } else { bound });
     let mut seen = 0usize;
     for (idx, line) in lines {
         let line = line.trim();
@@ -225,6 +231,18 @@ mod tests {
     #[test]
     fn rejects_wrong_count() {
         let text = "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1\n";
+        assert!(matches!(read_str(text), Err(MatrixError::Parse { .. })));
+    }
+
+    #[test]
+    fn huge_declared_counts_are_errors_not_allocations() {
+        let text = "%%MatrixMarket matrix coordinate real general\n2 2 4000000000000\n1 1 1\n";
+        assert!(matches!(read_str(text), Err(MatrixError::Parse { .. })));
+        let near_max = usize::MAX - 1;
+        let text =
+            format!("%%MatrixMarket matrix coordinate real symmetric\n2 2 {near_max}\n2 1 1\n");
+        assert!(matches!(read_str(&text), Err(MatrixError::Parse { .. })));
+        let text = "%%MatrixMarket matrix coordinate real general\n4294967296 1 0\n";
         assert!(matches!(read_str(text), Err(MatrixError::Parse { .. })));
     }
 

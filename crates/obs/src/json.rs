@@ -1,23 +1,44 @@
-//! Minimal JSON support for timeline export.
+//! The workspace's one JSON codec: a value tree, a compact writer, a
+//! linear-time reader, and a Chrome-trace validator.
 //!
-//! The harness' JSON dialect is integer-only (cache keys and counters), but
-//! Chrome trace events carry fractional timestamps and gauge values, so this
-//! module provides a float-capable writer plus a small recursive-descent
-//! reader used by the `timeline --validate` bin to check exported files
-//! without any external dependency.
+//! The build environment is offline, so there is no serde. Every JSON
+//! document the workspace reads or writes goes through this module: the
+//! harness result cache, mapping store and run manifest, the serve wire
+//! protocol and acknowledgment journal, the lint baseline and call graph,
+//! and the exported timelines.
+//!
+//! Numbers come in two forms. A token made only of decimal digits decodes
+//! to an exact [`Json::U64`] (and is an error if it does not fit); any
+//! other number decodes to [`Json::F64`]. Values that must round-trip
+//! bit-exactly — simulator outputs, energies, cache payloads — are stored
+//! as IEEE-754 bit patterns through [`Json::f64_bits`], never as decimal
+//! floats. Trace timestamps and gauge values are written with
+//! [`fmt_num`] and read back through [`Json::as_num`].
+//!
+//! The reader handles untrusted input (wire requests, MatrixMarket uploads,
+//! on-disk files): it runs in time linear in the input length, rejects lone
+//! UTF-16 surrogates in `\u` escapes, and returns `Err` for nesting deeper
+//! than [`MAX_DEPTH`] instead of growing the stack without bound.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
+
+/// The deepest array/object nesting [`parse`] accepts. Nothing the
+/// workspace writes nests more than a handful of levels.
+pub const MAX_DEPTH: usize = 128;
 
 /// Formats a number the way trace viewers expect: integers without a
 /// fractional part, everything else via Rust's shortest round-trip `{}`
 /// display. Non-finite values (which JSON cannot carry) degrade to `0`.
+/// Values of 2^64 and above take an exponent, so the reader never meets a
+/// digits-only token too wide for [`Json::U64`].
 pub fn fmt_num(value: f64) -> String {
     if !value.is_finite() {
         return "0".into();
     }
     if value == value.trunc() && value.abs() < 9.0e15 {
         format!("{}", value as i64)
+    } else if value >= u64::MAX as f64 {
+        format!("{value:e}")
     } else {
         format!("{value}")
     }
@@ -26,219 +47,358 @@ pub fn fmt_num(value: f64) -> String {
 /// Escapes a string for embedding in a JSON document (quotes not included).
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+    escape_into(&mut out, s);
     out
 }
 
-/// A parsed JSON value. Objects use a sorted map, which is all the
-/// validator needs; key order is not round-tripped.
+fn escape_into(out: &mut String, s: &str) {
+    // Every byte that needs escaping is ASCII, so the unescaped runs
+    // between them always end on character boundaries.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let esc = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if esc.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(esc);
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+}
+
+/// A JSON value. Objects keep their key order; lookup returns the first
+/// matching key.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Value {
+pub enum Json {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number, held as `f64`.
-    Num(f64),
+    /// A number written with digits only, held exactly.
+    U64(u64),
+    /// Any other number (fractional, negative or with an exponent).
+    F64(f64),
     /// A string, unescaped.
     Str(String),
     /// An array.
-    Arr(Vec<Value>),
-    /// An object.
-    Obj(BTreeMap<String, Value>),
+    Arr(Vec<Json>),
+    /// An object with ordered keys.
+    Obj(Vec<(String, Json)>),
 }
 
-impl Value {
-    /// Member lookup on objects (`None` on other variants).
-    pub fn get(&self, key: &str) -> Option<&Value> {
+impl Json {
+    /// Builds an object from `(key, value)` pairs.
+    pub fn obj(pairs: Vec<(&str, Json)>) -> Json {
+        Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    }
+
+    /// Stores an `f64` as its exact bit pattern.
+    pub fn f64_bits(v: f64) -> Json {
+        Json::U64(v.to_bits())
+    }
+
+    /// Looks up a key in an object (`None` on other variants).
+    pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
-            Value::Obj(m) => m.get(key),
+            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
     }
 
-    /// The string payload, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
+    /// The value as `u64`, if it is an exact unsigned integer.
+    pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Value::Str(s) => Some(s),
+            Json::U64(v) => Some(*v),
             _ => None,
         }
     }
 
-    /// The numeric payload, if this is a number.
+    /// The value as `f64`, decoding the bit-pattern convention.
+    pub fn as_f64_bits(&self) -> Option<f64> {
+        self.as_u64().map(f64::from_bits)
+    }
+
+    /// The value as a plain number, whichever form it was written in.
     pub fn as_num(&self) -> Option<f64> {
         match self {
-            Value::Num(n) => Some(*n),
+            Json::U64(v) => Some(*v as f64),
+            Json::F64(v) => Some(*v),
             _ => None,
         }
     }
 
-    /// The element list, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Value]> {
+    /// The value as `bool`, if it is one.
+    pub fn as_bool(&self) -> Option<bool> {
         match self {
-            Value::Arr(v) => Some(v),
+            Json::Bool(v) => Some(*v),
             _ => None,
         }
     }
-}
 
-/// Parses a complete JSON document, rejecting trailing garbage.
-pub fn parse(text: &str) -> Result<Value, String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing garbage at byte {pos}"));
+    /// The value as `&str`, if it is a string.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Json::Str(s) => Some(s),
+            _ => None,
+        }
     }
-    Ok(value)
-}
 
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
+    /// The value as an array slice, if it is one.
+    pub fn as_arr(&self) -> Option<&[Json]> {
+        match self {
+            Json::Arr(v) => Some(v),
+            _ => None,
+        }
     }
-}
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_obj(b, pos),
-        Some(b'[') => parse_arr(b, pos),
-        Some(b'"') => parse_str(b, pos).map(Value::Str),
-        Some(b't') => parse_lit(b, pos, "true", Value::Bool(true)),
-        Some(b'f') => parse_lit(b, pos, "false", Value::Bool(false)),
-        Some(b'n') => parse_lit(b, pos, "null", Value::Null),
-        Some(_) => parse_num(b, pos),
+    /// Serializes to compact JSON text (no whitespace).
+    pub fn to_text(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out);
+        out
     }
-}
 
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, value: Value) -> Result<Value, String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(value)
-    } else {
-        Err(format!("invalid literal at byte {pos}", pos = *pos))
-    }
-}
-
-fn parse_num(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-    let start = *pos;
-    while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
-        *pos += 1;
-    }
-    let text = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
-    text.parse::<f64>().map(Value::Num).map_err(|_| format!("bad number {text:?} at byte {start}"))
-}
-
-fn parse_str(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    debug_assert_eq!(b[*pos], b'"');
-    *pos += 1;
-    let mut out = Vec::new();
-    while let Some(&c) = b.get(*pos) {
-        *pos += 1;
-        match c {
-            b'"' => {
-                return String::from_utf8(out).map_err(|e| e.to_string());
+    fn write(&self, out: &mut String) {
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(v) => out.push_str(if *v { "true" } else { "false" }),
+            Json::U64(v) => {
+                let _ = write!(out, "{v}");
             }
-            b'\\' => {
-                let esc = *b.get(*pos).ok_or("unterminated escape")?;
-                *pos += 1;
-                match esc {
-                    b'"' => out.push(b'"'),
-                    b'\\' => out.push(b'\\'),
-                    b'/' => out.push(b'/'),
-                    b'n' => out.push(b'\n'),
-                    b'r' => out.push(b'\r'),
-                    b't' => out.push(b'\t'),
-                    b'b' => out.push(0x08),
-                    b'f' => out.push(0x0c),
-                    b'u' => {
-                        let hex = b
-                            .get(*pos..*pos + 4)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or("truncated \\u escape")?;
-                        let code =
-                            u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape digits")?;
-                        *pos += 4;
-                        // Surrogate pairs are not produced by our writer;
-                        // map lone surrogates to U+FFFD instead of failing.
-                        let ch = char::from_u32(code).unwrap_or('\u{fffd}');
-                        let mut buf = [0u8; 4];
-                        out.extend_from_slice(ch.encode_utf8(&mut buf).as_bytes());
+            Json::F64(v) => out.push_str(&fmt_num(*v)),
+            Json::Str(s) => write_str(out, s),
+            Json::Arr(items) => {
+                out.push('[');
+                for (i, v) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
                     }
-                    other => return Err(format!("unknown escape \\{}", other as char)),
+                    v.write(out);
                 }
+                out.push(']');
             }
-            c => out.push(c),
-        }
-    }
-    Err("unterminated string".into())
-}
-
-fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-    *pos += 1; // consume '['
-    let mut items = Vec::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Value::Arr(items));
-    }
-    loop {
-        items.push(parse_value(b, pos)?);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Value::Arr(items));
+            Json::Obj(pairs) => {
+                out.push('{');
+                for (i, (k, v)) in pairs.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write_str(out, k);
+                    out.push(':');
+                    v.write(out);
+                }
+                out.push('}');
             }
-            _ => return Err(format!("expected ',' or ']' at byte {pos}", pos = *pos)),
         }
     }
 }
 
-fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-    *pos += 1; // consume '{'
-    let mut map = BTreeMap::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Value::Obj(map));
+fn write_str(out: &mut String, s: &str) {
+    out.push('"');
+    escape_into(out, s);
+    out.push('"');
+}
+
+/// Parses a complete JSON document, rejecting trailing data.
+///
+/// # Errors
+///
+/// Returns a message naming the byte offset of malformed input, an
+/// unsigned integer that does not fit in `u64`, a non-finite float, a lone
+/// surrogate escape, or nesting deeper than [`MAX_DEPTH`].
+pub fn parse(text: &str) -> Result<Json, String> {
+    let mut p = Parser { text, bytes: text.as_bytes(), pos: 0 };
+    let v = p.value(0)?;
+    p.skip_ws();
+    if p.pos != p.bytes.len() {
+        return Err(format!("trailing data at byte {}", p.pos));
     }
-    loop {
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b'"') {
-            return Err(format!("expected object key at byte {pos}", pos = *pos));
+    Ok(v)
+}
+
+struct Parser<'a> {
+    text: &'a str,
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl Parser<'_> {
+    fn skip_ws(&mut self) {
+        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
         }
-        let key = parse_str(b, pos)?;
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b':') {
-            return Err(format!("expected ':' at byte {pos}", pos = *pos));
-        }
-        *pos += 1;
-        map.insert(key, parse_value(b, pos)?);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Value::Obj(map));
+    }
+
+    /// The next non-whitespace byte, not consumed.
+    fn peek(&mut self) -> Result<u8, String> {
+        self.skip_ws();
+        self.bytes.get(self.pos).copied().ok_or_else(|| "unexpected end of input".to_string())
+    }
+
+    /// Parses one value that sits inside `depth` enclosing containers.
+    fn value(&mut self, depth: usize) -> Result<Json, String> {
+        match self.peek()? {
+            b'{' | b'[' if depth >= MAX_DEPTH => {
+                Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos))
             }
-            _ => return Err(format!("expected ',' or '}}' at byte {pos}", pos = *pos)),
+            b'{' => self.object(depth + 1),
+            b'[' => self.array(depth + 1),
+            b'"' => self.string().map(Json::Str),
+            b't' => self.literal("true", Json::Bool(true)),
+            b'f' => self.literal("false", Json::Bool(false)),
+            b'n' => self.literal("null", Json::Null),
+            b'-' | b'0'..=b'9' => self.number(),
+            other => Err(format!("unexpected '{}' at byte {}", other as char, self.pos)),
+        }
+    }
+
+    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
+        if !self.bytes[self.pos..].starts_with(word.as_bytes()) {
+            return Err(format!("expected '{word}' at byte {}", self.pos));
+        }
+        self.pos += word.len();
+        Ok(value)
+    }
+
+    fn number(&mut self) -> Result<Json, String> {
+        let start = self.pos;
+        while matches!(
+            self.bytes.get(self.pos),
+            Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
+        ) {
+            self.pos += 1;
+        }
+        let tok = &self.text[start..self.pos];
+        if tok.bytes().all(|b| b.is_ascii_digit()) {
+            return tok
+                .parse::<u64>()
+                .map(Json::U64)
+                .map_err(|_| format!("integer {tok} at byte {start} does not fit in u64"));
+        }
+        match tok.parse::<f64>() {
+            Ok(v) if v.is_finite() => Ok(Json::F64(v)),
+            _ => Err(format!("bad number {tok:?} at byte {start}")),
+        }
+    }
+
+    /// Parses a string whose opening quote is at `pos`. Unescaped runs are
+    /// copied as whole slices, so decoding is linear in the string length.
+    fn string(&mut self) -> Result<String, String> {
+        self.pos += 1;
+        let mut out = String::new();
+        loop {
+            let run = self.pos;
+            let stop = self.bytes[run..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or_else(|| "unterminated string".to_string())?;
+            self.pos += stop;
+            out.push_str(&self.text[run..self.pos]);
+            self.pos += 1;
+            if self.bytes[self.pos - 1] == b'"' {
+                return Ok(out);
+            }
+            let esc = *self.bytes.get(self.pos).ok_or_else(|| "unterminated escape".to_string())?;
+            self.pos += 1;
+            out.push(match esc {
+                b'"' => '"',
+                b'\\' => '\\',
+                b'/' => '/',
+                b'n' => '\n',
+                b'r' => '\r',
+                b't' => '\t',
+                b'b' => '\u{8}',
+                b'f' => '\u{c}',
+                b'u' => self.unicode_escape()?,
+                other => return Err(format!("bad escape '\\{}'", other as char)),
+            });
+        }
+    }
+
+    /// Decodes the code point of a `\u` escape whose `\u` is consumed,
+    /// joining a surrogate pair; a lone surrogate is an error.
+    fn unicode_escape(&mut self) -> Result<char, String> {
+        let at = self.pos;
+        let hi = self.hex4()?;
+        let code = if (0xD800..0xDC00).contains(&hi) && self.bytes[self.pos..].starts_with(b"\\u") {
+            self.pos += 2;
+            let lo = self.hex4()?;
+            if !(0xDC00..0xE000).contains(&lo) {
+                return Err(format!("lone surrogate \\u{hi:04x} at byte {at}"));
+            }
+            0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+        } else {
+            hi
+        };
+        char::from_u32(code).ok_or_else(|| format!("lone surrogate \\u{code:04x} at byte {at}"))
+    }
+
+    fn hex4(&mut self) -> Result<u32, String> {
+        let code = self
+            .text
+            .get(self.pos..self.pos + 4)
+            .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
+            .and_then(|h| u32::from_str_radix(h, 16).ok())
+            .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
+        self.pos += 4;
+        Ok(code)
+    }
+
+    fn array(&mut self, depth: usize) -> Result<Json, String> {
+        self.pos += 1; // '['
+        let mut items = Vec::new();
+        if self.peek()? == b']' {
+            self.pos += 1;
+            return Ok(Json::Arr(items));
+        }
+        loop {
+            items.push(self.value(depth)?);
+            match self.peek()? {
+                b',' => self.pos += 1,
+                b']' => {
+                    self.pos += 1;
+                    return Ok(Json::Arr(items));
+                }
+                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
+            }
+        }
+    }
+
+    fn object(&mut self, depth: usize) -> Result<Json, String> {
+        self.pos += 1; // '{'
+        let mut pairs = Vec::new();
+        if self.peek()? == b'}' {
+            self.pos += 1;
+            return Ok(Json::Obj(pairs));
+        }
+        loop {
+            if self.peek()? != b'"' {
+                return Err(format!("expected object key at byte {}", self.pos));
+            }
+            let key = self.string()?;
+            if self.peek()? != b':' {
+                return Err(format!("expected ':' at byte {}", self.pos));
+            }
+            self.pos += 1;
+            pairs.push((key, self.value(depth)?));
+            match self.peek()? {
+                b',' => self.pos += 1,
+                b'}' => {
+                    self.pos += 1;
+                    return Ok(Json::Obj(pairs));
+                }
+                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
+            }
         }
     }
 }
@@ -264,28 +424,28 @@ pub struct TraceSummary {
 pub fn validate_chrome_trace(text: &str) -> Result<TraceSummary, String> {
     let root = parse(text)?;
     let events =
-        root.get("traceEvents").and_then(Value::as_arr).ok_or("missing \"traceEvents\" array")?;
+        root.get("traceEvents").and_then(Json::as_arr).ok_or("missing \"traceEvents\" array")?;
     let mut summary = TraceSummary::default();
     for (i, ev) in events.iter().enumerate() {
         let ph = ev
             .get("ph")
-            .and_then(Value::as_str)
+            .and_then(Json::as_str)
             .ok_or_else(|| format!("event {i}: missing \"ph\""))?;
         let name = ev
             .get("name")
-            .and_then(Value::as_str)
+            .and_then(Json::as_str)
             .ok_or_else(|| format!("event {i}: missing \"name\""))?;
         match ph {
             "M" => summary.metadata_events += 1,
             "C" => {
                 ev.get("ts")
-                    .and_then(Value::as_num)
+                    .and_then(Json::as_num)
                     .ok_or_else(|| format!("event {i} ({name}): counter without numeric ts"))?;
                 let args =
                     ev.get("args").ok_or_else(|| format!("event {i} ({name}): missing args"))?;
                 let value = args
                     .get("value")
-                    .and_then(Value::as_num)
+                    .and_then(Json::as_num)
                     .ok_or_else(|| format!("event {i} ({name}): counter without args.value"))?;
                 if !value.is_finite() {
                     return Err(format!("event {i} ({name}): non-finite counter value"));
@@ -298,11 +458,11 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceSummary, String> {
             "X" => {
                 let ts = ev
                     .get("ts")
-                    .and_then(Value::as_num)
+                    .and_then(Json::as_num)
                     .ok_or_else(|| format!("event {i} ({name}): slice without numeric ts"))?;
                 let dur = ev
                     .get("dur")
-                    .and_then(Value::as_num)
+                    .and_then(Json::as_num)
                     .ok_or_else(|| format!("event {i} ({name}): slice without numeric dur"))?;
                 if ts < 0.0 || dur < 0.0 {
                     return Err(format!("event {i} ({name}): negative ts/dur"));
@@ -313,61 +473,4 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceSummary, String> {
         }
     }
     Ok(summary)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn numbers_round_trip_compactly() {
-        assert_eq!(fmt_num(3.0), "3");
-        assert_eq!(fmt_num(0.5), "0.5");
-        assert_eq!(fmt_num(-12.0), "-12");
-        assert_eq!(fmt_num(f64::NAN), "0");
-        assert_eq!(fmt_num(f64::INFINITY), "0");
-        for v in [0.1, 123.456, 1.0e-9, 9.5e15] {
-            let parsed = parse(&fmt_num(v)).unwrap().as_num().unwrap();
-            assert_eq!(parsed, v);
-        }
-    }
-
-    #[test]
-    fn escape_handles_controls_and_quotes() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
-        assert_eq!(parse("\"a\\\"b\\\\c\\nd\\u0041\"").unwrap().as_str(), Some("a\"b\\c\ndA"));
-    }
-
-    #[test]
-    fn parser_reads_nested_documents() {
-        let v = parse(r#"{"a": [1, 2.5, "x"], "b": {"c": true, "d": null}}"#).unwrap();
-        assert_eq!(v.get("a").unwrap().as_arr().unwrap().len(), 3);
-        assert_eq!(v.get("a").unwrap().as_arr().unwrap()[1].as_num(), Some(2.5));
-        assert_eq!(v.get("b").unwrap().get("c"), Some(&Value::Bool(true)));
-        assert!(parse("{\"a\": 1} junk").is_err());
-        assert!(parse("[1, 2,]").is_err());
-    }
-
-    #[test]
-    fn validator_accepts_minimal_trace() {
-        let text = r#"{"displayTimeUnit":"ns","traceEvents":[
-            {"ph":"M","pid":1,"name":"process_name","args":{"name":"spacea"}},
-            {"ph":"C","pid":1,"name":"vault0/ldq/l1-occupancy","ts":0.5,"args":{"value":3}},
-            {"ph":"X","pid":1,"tid":0,"name":"X block 1","ts":1,"dur":2}
-        ]}"#;
-        let summary = validate_chrome_trace(text).unwrap();
-        assert_eq!(summary.counter_events, 1);
-        assert_eq!(summary.duration_events, 1);
-        assert_eq!(summary.metadata_events, 1);
-        assert_eq!(summary.counter_tracks, vec!["vault0/ldq/l1-occupancy".to_string()]);
-    }
-
-    #[test]
-    fn validator_rejects_malformed_traces() {
-        assert!(validate_chrome_trace("{}").is_err());
-        assert!(validate_chrome_trace(r#"{"traceEvents":[{"name":"x"}]}"#).is_err());
-        let bad_counter = r#"{"traceEvents":[{"ph":"C","name":"c","ts":0,"args":{}}]}"#;
-        assert!(validate_chrome_trace(bad_counter).is_err());
-    }
 }

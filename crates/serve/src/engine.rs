@@ -13,11 +13,11 @@ use crate::chaos::{ChaosPlan, ChaosState};
 use crate::error::ServeError;
 use crate::journal::{AckJournal, CompactionStats};
 use spacea_arch::{HwConfig, Machine, RunSpec, SpmmReport};
-use spacea_harness::json::Json;
 use spacea_harness::mapstore::{mapping_key, matrix_key};
 use spacea_harness::{MappingStats, MappingStore, MatrixSource};
 use spacea_mapping::{MapKind, Mapping};
 use spacea_matrix::Csr;
+use spacea_obs::json::Json;
 use spacea_obs::{MetricKey, Series, Timeline};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -519,7 +519,7 @@ pub(crate) fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
 mod tests {
     use super::*;
     use crate::protocol::seeded_vector;
-    use spacea_harness::json::parse;
+    use spacea_obs::json::parse;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("spacea-serve-engine-{tag}-{}", std::process::id()))

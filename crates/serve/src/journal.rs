@@ -20,7 +20,7 @@
 
 use crate::engine::write_atomic;
 use spacea_harness::job::Fnv;
-use spacea_harness::json::{parse, Json};
+use spacea_obs::json::{parse, Json};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -21,7 +21,7 @@
 //!   corresponding solo SpMV result, independent of batch composition
 //!   and arrival order.
 //! * [`protocol`] / [`server`] / [`client`] — a tiny line/JSON protocol
-//!   (the `spacea_harness::json` dialect: floats travel as IEEE-754 bit
+//!   (`spacea_obs::json` text: floats travel as IEEE-754 bit
 //!   patterns) over localhost TCP, with `serve start/submit/stat/shutdown`
 //!   CLI verbs in `spacea-bench`.
 //!

@@ -19,7 +19,7 @@ use crate::engine::{write_atomic, ServeConfig, ServeEngine};
 use crate::error::ServeError;
 use crate::protocol::{self, Request, PORT_FILE};
 use crate::service::Service;
-use spacea_harness::json::Json;
+use spacea_obs::json::Json;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};

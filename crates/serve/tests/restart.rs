@@ -1,11 +1,17 @@
 //! End-to-end acceptance test of the daemon: concurrent mixed-matrix
 //! requests over real localhost TCP match the offline reference SpMV
 //! bitwise, and a restarted daemon performs zero Phase I/II mapping
-//! computations for previously registered matrices.
+//! computations for previously registered matrices. A hostile request
+//! line earns a coded error and leaves the daemon serving.
 
+use spacea_obs::json::{self, Json};
+use spacea_serve::client::read_port;
 use spacea_serve::{
-    run_daemon, seeded_vector, AckJournal, Client, ServeConfig, ServeEngine, Service, PORT_FILE,
+    run_daemon, seeded_vector, AckJournal, Client, Request, ServeConfig, ServeEngine, Service,
+    PORT_FILE,
 };
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -30,12 +36,42 @@ fn start_daemon(dir: &Path) -> std::thread::JoinHandle<()> {
 
 fn manifest_counts(dir: &Path) -> (u64, u64) {
     let text = std::fs::read_to_string(dir.join("serve-manifest.json")).expect("manifest exists");
-    let v = spacea_harness::json::parse(&text).expect("manifest parses");
+    let v = json::parse(&text).expect("manifest parses");
     let maps = v.get("mappings").expect("mappings field");
     (
         maps.get("computed").and_then(|j| j.as_u64()).expect("computed"),
         maps.get("disk_hits").and_then(|j| j.as_u64()).expect("disk_hits"),
     )
+}
+
+#[test]
+fn a_megabyte_of_open_brackets_is_a_bad_request_not_a_crash() {
+    let dir = tmp_dir("hostile");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let daemon = start_daemon(&dir);
+
+    let stream = TcpStream::connect(("127.0.0.1", read_port(&dir).unwrap())).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    let mut reply = String::new();
+    for line in ["[".repeat(1 << 20), Request::Ping.to_line()] {
+        writeln!(writer, "{line}").unwrap();
+        reply.clear();
+        reader.read_line(&mut reply).unwrap();
+        let v = json::parse(reply.trim()).expect("the daemon answers every line");
+        if line.starts_with('[') {
+            assert_eq!(v.get("ok"), Some(&Json::Bool(false)));
+            assert_eq!(v.get("code").and_then(Json::as_str), Some("bad-request"));
+        } else {
+            assert_eq!(v.get("ok"), Some(&Json::Bool(true)), "ping on the same connection");
+        }
+    }
+    let mut client = Client::connect_dir(&dir).unwrap();
+    client.ping().unwrap();
+    client.shutdown().unwrap();
+    daemon.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
