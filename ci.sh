@@ -43,7 +43,21 @@ if cargo run --release -p spacea-lint -- \
   echo "ci.sh: --compare-baselines accepted a grown baseline" >&2
   exit 1
 fi
-cargo run --release -p spacea-bench --bin all_experiments -- --quick --jobs 4 > /dev/null
+
+# Experiment harness: a cold and a warm run over a fresh cache must print
+# byte-identical tables; --only selects registry entries, and an unknown id
+# is a usage error.
+EXP_CACHE=target/spacea-cache-exp
+EXP="cargo run --release -p spacea-bench --bin all_experiments -- --quick"
+rm -rf "$EXP_CACHE"
+$EXP --jobs 4 --cache-dir "$EXP_CACHE" > target/exp-cold.txt
+$EXP --jobs 4 --cache-dir "$EXP_CACHE" > target/exp-warm.txt
+cmp target/exp-cold.txt target/exp-warm.txt
+$EXP --jobs 2 --only table1,fig5 > /dev/null
+if $EXP --only bogus > /dev/null 2>&1; then
+  echo "ci.sh: all_experiments --only bogus exited 0" >&2
+  exit 1
+fi
 
 # Sweep smoke test: a tiny 2-axis grid run whole and as 2 shards sharing a
 # cache must merge byte-identically, and GC must respect its byte budget.

@@ -81,7 +81,9 @@ impl HwConfig {
         Self::with_shape(MachineShape::tiny())
     }
 
-    /// An HBM-like realization (paper Section VII, "HMC vs. HBM").
+    /// SpaceA itself realized on HBM stacks (paper Section VII, "HMC vs.
+    /// HBM") — not the Serpens-style streaming accelerator that the
+    /// scenario backends call `hbm`.
     ///
     /// HBM groups banks horizontally into channels instead of vertically
     /// into vaults, but both give low-latency TSVs among the banks sharing a
@@ -91,7 +93,7 @@ impl HwConfig {
     /// 2-stack scale (4 stacks × 8 channels × 7 bank pairs = 448 PEs, the
     /// same as [`HwConfig::scaled`]) with HBM's pseudo-channel timing: a
     /// slightly longer TSV transfer and a wider per-channel interface.
-    pub fn hbm_like() -> Self {
+    pub fn spacea_on_hbm() -> Self {
         let mut cfg = Self::with_shape(MachineShape {
             cubes: 4,           // stacks
             vaults_per_cube: 8, // channels per stack
@@ -116,7 +118,7 @@ impl HwConfig {
             "scaled" => Some(Self::scaled()),
             "paper" => Some(Self::paper()),
             "tiny" => Some(Self::tiny()),
-            "hbm" => Some(Self::hbm_like()),
+            "hbm" => Some(Self::spacea_on_hbm()),
             _ => None,
         }
     }
@@ -286,8 +288,8 @@ mod tests {
     }
 
     #[test]
-    fn hbm_like_matches_scaled_pe_count() {
-        let hbm = HwConfig::hbm_like();
+    fn spacea_on_hbm_matches_scaled_pe_count() {
+        let hbm = HwConfig::spacea_on_hbm();
         assert_eq!(hbm.shape.product_pes(), HwConfig::scaled().shape.product_pes());
         // Same aggregate channel bandwidth per stack: 8 ch x 32 B/cy = 16
         // vaults x 16 B/cy.
@@ -303,7 +305,7 @@ mod tests {
             assert!(HwConfig::by_name(name).is_some(), "variant {name} must resolve");
         }
         assert_eq!(HwConfig::by_name("scaled"), Some(HwConfig::scaled()));
-        assert_eq!(HwConfig::by_name("hbm"), Some(HwConfig::hbm_like()));
+        assert_eq!(HwConfig::by_name("hbm"), Some(HwConfig::spacea_on_hbm()));
         assert!(HwConfig::by_name("warp-drive").is_none());
     }
 

@@ -14,7 +14,7 @@ fn main() {
     let csv = session.csv;
     let cache = &mut session.cache;
     let hmc = cache.cfg.hw.clone();
-    let hbm = HwConfig::hbm_like();
+    let hbm = HwConfig::spacea_on_hbm();
 
     let mut table = Table::new(
         "Section VII: HMC-like vs HBM-like realization (equivalent configuration)",

@@ -1,8 +1,10 @@
 //! Shared plumbing for the experiment harness binaries.
 //!
-//! Every paper table/figure has a binary in `src/bin/` (run with
-//! `cargo run --release -p spacea-bench --bin fig5`); all of them accept the
-//! same flags:
+//! Every paper table/figure is one entry of the experiment registry, and
+//! `all_experiments` regenerates them all (or, with `--only fig5,table1`,
+//! just the named ones: run with
+//! `cargo run --release -p spacea-bench --bin all_experiments -- --only fig5`).
+//! Every harness binary accepts the same base flags:
 //!
 //! * `--scale N` — Table I matrix down-scale factor (default 8)
 //! * `--graph-scale N` — Table III graph down-scale factor (default 256)
@@ -18,25 +20,24 @@
 //! * `--csv` — emit CSV instead of aligned text
 //!
 //! Flags parse through [`HarnessOptions::from_args`]; unknown flags are
-//! [`ArgError`]s carrying a usage string, and binaries with extra flags (the
-//! sweep grid, sharding, cache GC — see [`SweepCli`]) plug them into the
-//! same parser via [`HarnessOptions::from_args_with`] instead of
-//! hand-rolling a second one.
+//! [`ArgError`]s carrying a usage string, and binaries with extra flags
+//! (`all_experiments --only`, the sweep grid, sharding, cache GC — see
+//! [`SweepCli`]) plug them into the same parser via
+//! [`HarnessOptions::from_args_with`] instead of hand-rolling a second one.
 //!
-//! Each binary starts from a [`HarnessSession`] — the named successor of the
-//! old `(SuiteCache, bool)` tuple — via [`harness`] (parse args, open the
-//! store) or [`harness_for`] (additionally pre-warm one experiment's jobs in
-//! parallel). The figure/table binaries first enumerate the jobs their
-//! experiment consumes (see `spacea_core::experiments::Experiment::jobs`),
-//! compute them in parallel through [`spacea_harness::run_jobs`] into a
-//! content-addressed [`ResultStore`], and only then render — rendering is
-//! pure lookup, so the output is byte-identical for any `--jobs` value.
+//! Each binary starts from a [`HarnessSession`] via [`harness`] (parse
+//! args, open the store) or [`HarnessSession::from_opts`]. Binaries with
+//! jobs first enumerate the jobs they consume (see
+//! `spacea_core::experiments::Experiment::jobs`), compute them in parallel
+//! through [`HarnessSession::prewarm`] into a content-addressed
+//! [`ResultStore`], and only then render — rendering is pure lookup, so the
+//! output is byte-identical for any `--jobs` value.
 
 #![warn(missing_docs)]
 
 use spacea_core::experiments::{ExpConfig, ExpOutput, SuiteCache};
 use spacea_harness::{
-    FaultPlan, GcPolicy, JobCtx, JobSpec, PointKind, ResultStore, RunManifest, SupervisionPolicy,
+    FaultPlan, GcPolicy, JobCtx, JobSpec, PointKind, ResultStore, RunManifest, RunOptions,
     SweepPoint, SweepSpec, TimelineConfig, DEFAULT_CACHE_DIR,
 };
 use spacea_obs::Cycle;
@@ -243,8 +244,30 @@ impl HarnessSession {
     /// count, filling the cache's store, and returns the run telemetry.
     /// With [`HarnessSession::timeline`] set, sim jobs also export
     /// per-job timeline artifacts.
+    ///
+    /// Jobs run under the default [`spacea_harness::SupervisionPolicy`]: a
+    /// panicking or hung job ends up as a failure record in the manifest,
+    /// and the rest of the sweep still completes.
     pub fn prewarm(&self, jobs: Vec<JobSpec>) -> RunManifest {
-        prewarm_observed(&self.cache, jobs, self.opts.jobs, self.timeline.as_ref())
+        let jobs = spacea_harness::dedup_jobs(jobs);
+        let started = Instant::now();
+        let store = self.cache.store();
+        let ctx = self.cache.ctx();
+        let opts = RunOptions {
+            workers: self.opts.jobs,
+            timeline: self.timeline.clone(),
+            ..RunOptions::default()
+        };
+        let out = spacea_harness::run_jobs_with(&jobs, store, ctx, &opts);
+        RunManifest {
+            workers: self.opts.jobs,
+            total_wall_ms: started.elapsed().as_secs_f64() * 1e3,
+            records: out.records,
+            stats: store.stats(),
+            mappings: ctx.mapping_stats(),
+            corrupt_paths: store.corrupt_paths().iter().map(|p| p.display().to_string()).collect(),
+            abandoned: out.abandoned,
+        }
     }
 
     /// Prints one experiment's tables in this session's format.
@@ -275,63 +298,12 @@ impl HarnessSession {
     }
 }
 
-/// Computes `jobs` (deduplicated) on `workers` threads under the default
-/// [`SupervisionPolicy`], filling the cache's store, and returns the run
-/// telemetry. A panicking or hung job ends up as a failure record in the
-/// manifest; the rest of the sweep still completes.
-pub fn prewarm(cache: &SuiteCache, jobs: Vec<JobSpec>, workers: usize) -> RunManifest {
-    prewarm_observed(cache, jobs, workers, None)
-}
-
-/// [`prewarm`] with optional timeline export: when `timeline` is set, sim
-/// jobs run observed and each success writes a Chrome-trace JSON artifact
-/// under the timeline directory (see [`TimelineConfig`]).
-pub fn prewarm_observed(
-    cache: &SuiteCache,
-    jobs: Vec<JobSpec>,
-    workers: usize,
-    timeline: Option<&TimelineConfig>,
-) -> RunManifest {
-    let jobs = spacea_harness::dedup_jobs(jobs);
-    let started = Instant::now();
-    let out = spacea_harness::run_jobs_observed(
-        &jobs,
-        cache.store(),
-        cache.ctx(),
-        workers,
-        &SupervisionPolicy::default(),
-        timeline,
-    );
-    RunManifest {
-        workers,
-        total_wall_ms: started.elapsed().as_secs_f64() * 1e3,
-        records: out.records,
-        stats: cache.store().stats(),
-        mappings: cache.ctx().mapping_stats(),
-        corrupt_paths: cache
-            .store()
-            .corrupt_paths()
-            .iter()
-            .map(|p| p.display().to_string())
-            .collect(),
-        abandoned: out.abandoned,
-    }
-}
-
-/// Parses the process arguments and builds the session (no job pre-warming
-/// — for binaries whose work is not expressible as jobs).
+/// Parses the process arguments and builds the session (no job
+/// pre-warming: callers that have jobs pass them to
+/// [`HarnessSession::prewarm`]).
 pub fn harness() -> HarnessSession {
     let opts = HarnessOptions::from_args(std::env::args().skip(1)).unwrap_or_else(|e| e.exit());
     HarnessSession::from_opts(opts)
-}
-
-/// Parses the process arguments, builds the session, and pre-warms one
-/// experiment's jobs in parallel; the run summary goes to stderr.
-pub fn harness_for(jobs_of: fn(&ExpConfig) -> Vec<JobSpec>) -> HarnessSession {
-    let session = harness();
-    let manifest = session.prewarm(jobs_of(&session.opts.cfg));
-    eprint!("{}", manifest.summary());
-    session
 }
 
 /// Prints one experiment's tables in the selected format.

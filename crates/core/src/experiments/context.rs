@@ -266,13 +266,13 @@ impl SuiteCache {
     ///
     /// Panics if the job fails. Rendering runs on the serial path with
     /// trusted experiment definitions; supervised sweeps go through
-    /// [`spacea_harness::run_jobs_supervised`] instead.
+    /// [`spacea_harness::run_jobs_with`] instead.
     pub fn run_job(&mut self, job: &JobSpec) -> JobResult {
         let key = job.key();
         if let Some((result, _)) = self.store.lookup(key) {
             return result;
         }
-        let result = spacea_harness::exec::execute(job, &self.ctx)
+        let (result, _) = spacea_harness::exec::execute(job, &self.ctx, None)
             // lint:allow(R1) documented panic: the serial render path runs trusted jobs
             .unwrap_or_else(|e| panic!("job {} failed: {e}", job.label()));
         self.store.insert(key, result.clone());
@@ -423,8 +423,8 @@ mod tests {
         assert_eq!(cfg.graph_scale, 512);
         assert_eq!(cfg.hw.shape.cubes, 4);
         assert_eq!(cfg.hw.shape.vaults_per_cube, ExpConfig::quick().hw.shape.vaults_per_cube);
-        let cfg = ExpConfig::quick().with_hw(HwConfig::hbm_like());
-        assert_eq!(cfg.hw, HwConfig::hbm_like());
+        let cfg = ExpConfig::quick().with_hw(HwConfig::spacea_on_hbm());
+        assert_eq!(cfg.hw, HwConfig::spacea_on_hbm());
         assert_eq!(ExpConfig::quick().with_scale(0).scale, 1, "scale clamps to 1");
     }
 

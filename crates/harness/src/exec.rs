@@ -3,7 +3,7 @@
 //! Workers never let one bad job take down a sweep: every attempt runs under
 //! [`std::panic::catch_unwind`], hangs are cut off by the sim watchdog or an
 //! optional per-attempt wall-clock budget, and transient errors are retried
-//! with exponential backoff. [`run_jobs_supervised`] always returns one
+//! with exponential backoff. [`run_jobs_with`] always returns one
 //! [`JobRecord`] per submitted job — failed jobs carry a
 //! [`JobStatus`] explaining what happened instead of a result.
 
@@ -12,7 +12,7 @@ use crate::mapstore::{MappingStats, MappingStore};
 use crate::store::{CacheOutcome, JobResult, ResultStore, ScenarioRec};
 use crate::telemetry::{JobRecord, JobStatus};
 use crate::timeline::{ChunkSink, TimelineConfig};
-use spacea_arch::{Machine, ObserveConfig, RunSpec, SampleFlush, SimError};
+use spacea_arch::{Machine, RunSpec, SampleFlush, SimError};
 use spacea_backend::hbm::hbm_timeline;
 use spacea_backend::{BackendKind, HbmBackend, ScenarioSpec};
 use spacea_gpu::simulate_csrmv;
@@ -200,37 +200,23 @@ impl std::fmt::Display for ExecFailure {
 /// Untrusted inputs — the matrix source and the hardware config (validated
 /// inside [`Machine::run`]) — are checked up front and reported as
 /// [`ExecFailure::Error`] rather than panicking the worker.
-pub fn execute(spec: &JobSpec, ctx: &JobCtx) -> Result<JobResult, ExecFailure> {
-    execute_observed(spec, ctx, None).map(|(result, _)| result)
-}
-
-/// [`execute`] with optional gauge observation: with an [`ObserveConfig`],
-/// sim jobs run under [`RunSpec::observed`] and return the
-/// collected [`Timeline`] alongside the result. GPU model jobs have no
-/// event loop to sample and always return `None`. Observation is
-/// timing-neutral, so the [`JobResult`] is identical either way — cached
-/// results stay valid whether or not the run was observed.
-pub fn execute_observed(
+///
+/// With a [`TimelineConfig`], sim jobs run under [`RunSpec::observed`] and
+/// return the collected [`Timeline`] alongside the result; HBM scenario
+/// cells return their per-channel timeline; other jobs have no event stream
+/// to sample and return `None`. Observation is timing-neutral, so the
+/// [`JobResult`] is identical either way — cached results stay valid
+/// whether or not the run was observed. An observed sim also flushes every
+/// completed sampler window as one chunk under `timelines/<key>.d/` through
+/// a [`ChunkSink`] (O(gauges) per window; the chunk index commits by atomic
+/// rename), so a run killed mid-flight leaves a replayable truncated
+/// timeline instead of nothing. The final artifact — with duration slices
+/// attached — is still written by the caller from the returned
+/// [`Timeline`], which also clears the chunk set.
+pub fn execute(
     spec: &JobSpec,
     ctx: &JobCtx,
-    observe: Option<ObserveConfig>,
-) -> Result<(JobResult, Option<Timeline>), ExecFailure> {
-    execute_observed_flushed(spec, ctx, observe, None)
-}
-
-/// [`execute_observed`] with incremental artifact flushing: when `flush`
-/// names a [`TimelineConfig`] and job key, every completed sampler window
-/// appends one chunk to `timelines/<key>.d/` through a [`ChunkSink`]
-/// (O(gauges) per window; the chunk index commits by atomic rename), so a
-/// run killed mid-flight leaves a replayable truncated timeline instead of
-/// nothing. The final artifact — with duration slices attached — is still
-/// written by the caller from the returned [`Timeline`], which also clears
-/// the chunk set.
-pub fn execute_observed_flushed(
-    spec: &JobSpec,
-    ctx: &JobCtx,
-    observe: Option<ObserveConfig>,
-    flush: Option<(TimelineConfig, crate::job::JobKey)>,
+    timeline: Option<&TimelineConfig>,
 ) -> Result<(JobResult, Option<Timeline>), ExecFailure> {
     let source = spec.source();
     source.validate().map_err(|message| ExecFailure::Error { message })?;
@@ -244,24 +230,14 @@ pub fn execute_observed_flushed(
             let mapping = ctx.mapping(source, *kind, hw.shape);
             let x = input_vector(a.cols());
             let machine = Machine::new(hw.clone());
-            match observe {
-                Some(obs) => {
-                    let mut sink = flush.map(|(cfg, key)| ChunkSink::new(&cfg, key));
-                    let mut cb = sink.as_mut().map(|s| move |f: &SampleFlush<'_>| s.append(f));
-                    let mut spec_run = RunSpec::spmv(&a, &x, &mapping).observed(obs);
-                    if let Some(cb) = cb.as_mut() {
-                        spec_run = spec_run.flushing(cb);
-                    }
-                    let out = machine.run(spec_run).map_err(ExecFailure::from_sim)?;
-                    Ok((JobResult::Sim(Arc::new(out.report)), out.timeline))
-                }
-                None => {
-                    let out = machine
-                        .run(RunSpec::spmv(&a, &x, &mapping))
-                        .map_err(ExecFailure::from_sim)?;
-                    Ok((JobResult::Sim(Arc::new(out.report)), None))
-                }
+            let mut sink = timeline.map(|cfg| ChunkSink::new(cfg, spec.key()));
+            let mut flush = |f: &SampleFlush<'_>| sink.iter_mut().for_each(|s| s.append(f));
+            let mut run = RunSpec::spmv(&a, &x, &mapping);
+            if let Some(cfg) = timeline {
+                run = run.observed(cfg.observe).flushing(&mut flush);
             }
+            let out = machine.run(run).map_err(ExecFailure::from_sim)?;
+            Ok((JobResult::Sim(Arc::new(out.report)), out.timeline))
         }
         JobSpec::Scenario { source, backend, format, partition, kind, hw, gpu, hbm } => {
             let a = ctx.matrix(source);
@@ -285,7 +261,7 @@ pub fn execute_observed_flushed(
                     let (run, detail) = HbmBackend { spec: *hbm }
                         .run_detailed(&scenario)
                         .map_err(|message| ExecFailure::Error { message })?;
-                    (run, observe.map(|_| hbm_timeline(&detail)))
+                    (run, timeline.map(|_| hbm_timeline(&detail)))
                 }
                 _ => {
                     let run = backend
@@ -330,18 +306,17 @@ pub fn execute_observed_flushed(
     }
 }
 
-/// [`execute_observed`] behind a panic guard: a panicking job becomes an
+/// [`execute`] behind a panic guard: a panicking job becomes an
 /// [`ExecFailure::Error`] instead of unwinding through the worker pool.
 fn guarded_execute(
     spec: &JobSpec,
     ctx: &JobCtx,
-    observe: Option<ObserveConfig>,
-    flush: Option<(TimelineConfig, crate::job::JobKey)>,
+    timeline: Option<&TimelineConfig>,
 ) -> Result<(JobResult, Option<Timeline>), ExecFailure> {
     // AssertUnwindSafe: the only state shared across the boundary is the
     // JobCtx memo (poison-tolerant locks over OnceLock cells; an interrupted
     // init leaves the cell empty and retryable) and the panic payload itself.
-    match catch_unwind(AssertUnwindSafe(|| execute_observed_flushed(spec, ctx, observe, flush))) {
+    match catch_unwind(AssertUnwindSafe(|| execute(spec, ctx, timeline))) {
         Ok(r) => r,
         Err(payload) => Err(ExecFailure::Error {
             message: format!("job panicked: {}", panic_message(payload.as_ref())),
@@ -369,16 +344,16 @@ fn attempt(
     spec: &JobSpec,
     ctx: &Arc<JobCtx>,
     wall_budget: Option<Duration>,
-    observe: Option<ObserveConfig>,
-    flush: Option<(TimelineConfig, crate::job::JobKey)>,
+    timeline: Option<&TimelineConfig>,
 ) -> Result<(JobResult, Option<Timeline>), ExecFailure> {
-    let Some(limit) = wall_budget else { return guarded_execute(spec, ctx, observe, flush) };
+    let Some(limit) = wall_budget else { return guarded_execute(spec, ctx, timeline) };
     let (tx, rx) = mpsc::channel();
     let thread_spec = spec.clone();
     let thread_ctx = Arc::clone(ctx);
+    let thread_timeline = timeline.cloned();
     let handle =
         std::thread::Builder::new().name(format!("spacea-job:{}", spec.label())).spawn(move || {
-            let _ = tx.send(guarded_execute(&thread_spec, &thread_ctx, observe, flush));
+            let _ = tx.send(guarded_execute(&thread_spec, &thread_ctx, thread_timeline.as_ref()));
         });
     let handle = match handle {
         Ok(h) => h,
@@ -439,14 +414,13 @@ fn supervise(
     spec: &JobSpec,
     ctx: &Arc<JobCtx>,
     policy: &SupervisionPolicy,
-    observe: Option<ObserveConfig>,
-    flush: Option<&TimelineConfig>,
+    timeline: Option<&TimelineConfig>,
 ) -> (Option<(JobResult, Option<Timeline>)>, JobStatus) {
     let key = spec.key();
     let mut attempts = 0u32;
     loop {
         attempts += 1;
-        match attempt(spec, ctx, policy.wall_budget, observe, flush.map(|c| (c.clone(), key))) {
+        match attempt(spec, ctx, policy.wall_budget, timeline) {
             Ok(result) => {
                 let status =
                     if attempts == 1 { JobStatus::Ok } else { JobStatus::Retried { attempts } };
@@ -475,7 +449,7 @@ pub fn dedup_jobs(jobs: Vec<JobSpec>) -> Vec<JobSpec> {
     jobs.into_iter().filter(|j| seen.insert(j.key())).collect()
 }
 
-/// What [`run_jobs_supervised`] produced.
+/// What [`run_jobs_with`] produced.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunOutput {
     /// One record per submitted job, in input order. Failed jobs are
@@ -487,54 +461,53 @@ pub struct RunOutput {
     pub abandoned: Vec<String>,
 }
 
+/// How [`run_jobs_with`] runs a job list.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct RunOptions {
+    /// Worker threads (clamped to `1..=jobs.len()`).
+    pub workers: usize,
+    /// Retry and wall-budget policy for every job.
+    pub policy: SupervisionPolicy,
+    /// Per-job timeline artifacts: when set, sim jobs run observed (gauge
+    /// sampling + trace slices) and each success writes a Chrome-trace JSON
+    /// next to the cached result (see [`TimelineConfig`]). A cache hit
+    /// whose artifact is missing re-runs the job observed to regenerate it
+    /// — observation is timing-neutral and sims deterministic, so the
+    /// regenerated timeline matches what the original run would have
+    /// produced, and the cached result is returned untouched.
+    pub timeline: Option<TimelineConfig>,
+}
+
 /// Runs a job list on `workers` threads with the default
-/// [`SupervisionPolicy`], filling `store`.
-///
-/// Returns one [`JobRecord`] per job **in input order**, regardless of which
-/// worker ran what when — combined with results living in the content-keyed
-/// store, parallel runs are observationally identical to serial ones.
+/// [`SupervisionPolicy`] and no timelines, filling `store`: shorthand for
+/// [`run_jobs_with`] that keeps only the records.
 pub fn run_jobs(
     jobs: &[JobSpec],
     store: &ResultStore,
     ctx: &Arc<JobCtx>,
     workers: usize,
 ) -> Vec<JobRecord> {
-    run_jobs_supervised(jobs, store, ctx, workers, &SupervisionPolicy::default()).records
+    run_jobs_with(jobs, store, ctx, &RunOptions { workers, ..RunOptions::default() }).records
 }
 
-/// [`run_jobs`] with an explicit [`SupervisionPolicy`].
+/// Runs a job list under `opts`, filling `store`.
+///
+/// Returns one [`JobRecord`] per job **in input order**, regardless of which
+/// worker ran what when — combined with results living in the content-keyed
+/// store, parallel runs are observationally identical to serial ones.
 ///
 /// A panicking, erroring, or hung job never takes the sweep down: its record
 /// carries a failure [`JobStatus`] and every other job still runs. Workers
 /// that cannot deliver a record (channel closed) park it in a side buffer
 /// instead of dropping it; any job that still ends up without a record gets
 /// a synthesized failure record so the accounting is always complete.
-pub fn run_jobs_supervised(
+pub fn run_jobs_with(
     jobs: &[JobSpec],
     store: &ResultStore,
     ctx: &Arc<JobCtx>,
-    workers: usize,
-    policy: &SupervisionPolicy,
+    opts: &RunOptions,
 ) -> RunOutput {
-    run_jobs_observed(jobs, store, ctx, workers, policy, None)
-}
-
-/// [`run_jobs_supervised`] with per-job timeline artifacts: sim jobs run
-/// observed (gauge sampling + trace slices) and each success writes a
-/// Chrome-trace JSON next to the cached result (see [`TimelineConfig`]).
-/// A cache hit whose artifact is missing re-runs the job observed to
-/// regenerate it — observation is timing-neutral and sims deterministic,
-/// so the regenerated timeline matches what the original run would have
-/// produced, and the cached result is returned untouched.
-pub fn run_jobs_observed(
-    jobs: &[JobSpec],
-    store: &ResultStore,
-    ctx: &Arc<JobCtx>,
-    workers: usize,
-    policy: &SupervisionPolicy,
-    timeline: Option<&TimelineConfig>,
-) -> RunOutput {
-    let workers = workers.max(1).min(jobs.len().max(1));
+    let workers = opts.workers.max(1).min(jobs.len().max(1));
     let next = AtomicUsize::new(0);
     let (tx, rx) = mpsc::channel::<(usize, JobRecord)>();
     let stranded: Mutex<Vec<(usize, JobRecord)>> = Mutex::new(Vec::new());
@@ -549,7 +522,7 @@ pub fn run_jobs_observed(
                 if i >= jobs.len() {
                     break;
                 }
-                let record = run_one(i, &jobs[i], store, ctx, policy, timeline);
+                let record = run_one(i, &jobs[i], store, ctx, opts);
                 if let Err(e) = tx.send((i, record)) {
                     // The receiver is gone. Keep the record instead of
                     // dropping the evidence; the merge below logs it.
@@ -612,12 +585,11 @@ fn run_one(
     spec: &JobSpec,
     store: &ResultStore,
     ctx: &Arc<JobCtx>,
-    policy: &SupervisionPolicy,
-    timeline: Option<&TimelineConfig>,
+    opts: &RunOptions,
 ) -> JobRecord {
     let key = spec.key();
     let started = Instant::now();
-    let observe = timeline.map(|t| t.observe);
+    let (policy, timeline) = (&opts.policy, opts.timeline.as_ref());
     let (result, outcome, status) = match store.lookup(key) {
         Some((result, outcome)) => {
             // A hit with its timeline artifact missing (older sweep, pruned
@@ -625,9 +597,7 @@ fn run_one(
             // the cached result authoritative.
             if let Some(cfg) = timeline {
                 if matches!(spec, JobSpec::Sim { .. }) && !cfg.path_for(key).exists() {
-                    if let (Some((_, Some(tl))), _) =
-                        supervise(spec, ctx, policy, observe, timeline)
-                    {
+                    if let (Some((_, Some(tl))), _) = supervise(spec, ctx, policy, timeline) {
                         write_timeline(cfg, key, spec, &tl);
                     }
                 }
@@ -635,7 +605,7 @@ fn run_one(
             (Some(result), outcome, JobStatus::Ok)
         }
         None => {
-            let (outcome, status) = supervise(spec, ctx, policy, observe, timeline);
+            let (outcome, status) = supervise(spec, ctx, policy, timeline);
             let result = match outcome {
                 Some((r, tl)) => {
                     // Only successes are cached: a failure must be
@@ -728,7 +698,8 @@ mod tests {
     fn observed_hbm_scenario_returns_a_registered_timeline() {
         let ctx = JobCtx::new();
         let spec = quick_scenario(BackendKind::Hbm, FormatKind::Sell);
-        let (result, tl) = execute_observed(&spec, &ctx, Some(ObserveConfig::default())).unwrap();
+        let cfg = TimelineConfig::new(&std::env::temp_dir().join("spacea-exec-hbm-unused"));
+        let (result, tl) = execute(&spec, &ctx, Some(&cfg)).unwrap();
         assert!(matches!(result, JobResult::Scenario(_)));
         let tl = tl.expect("observed HBM scenario collects a timeline");
         assert!(!tl.series.is_empty());
@@ -862,8 +833,8 @@ mod tests {
         let jobs = vec![quick_sim(1), quick_sim(2)];
         let store = ResultStore::in_memory();
         let ctx = Arc::new(JobCtx::new());
-        let policy = SupervisionPolicy::default();
-        let out = run_jobs_observed(&jobs, &store, &ctx, 2, &policy, Some(&cfg));
+        let opts = RunOptions { workers: 2, timeline: Some(cfg.clone()), ..RunOptions::default() };
+        let out = run_jobs_with(&jobs, &store, &ctx, &opts);
         assert!(out.records.iter().all(|r| r.status == JobStatus::Ok));
         for job in &jobs {
             let path = cfg.path_for(job.key());
@@ -876,7 +847,7 @@ mod tests {
         let key = jobs[0].key();
         let (cached, _) = store.lookup(key).unwrap();
         std::fs::remove_file(cfg.path_for(key)).unwrap();
-        let out = run_jobs_observed(&jobs, &store, &ctx, 1, &policy, Some(&cfg));
+        let out = run_jobs_with(&jobs, &store, &ctx, &RunOptions { workers: 1, ..opts });
         assert!(out.records.iter().all(|r| r.outcome == CacheOutcome::MemoryHit));
         assert!(cfg.path_for(key).exists(), "missing artifact not regenerated");
         let (after, _) = store.lookup(key).unwrap();
@@ -894,9 +865,7 @@ mod tests {
         let spec = quick_sim(1);
         let key = spec.key();
         let ctx = JobCtx::new();
-        let (result, timeline) =
-            execute_observed_flushed(&spec, &ctx, Some(cfg.observe), Some((cfg.clone(), key)))
-                .unwrap();
+        let (result, timeline) = execute(&spec, &ctx, Some(&cfg)).unwrap();
         assert!(matches!(result, JobResult::Sim(_)));
         let live = timeline.expect("observed run collects a timeline");
         // The crash-safety contract: this caller never wrote the final

@@ -6,20 +6,22 @@
 //! the experiment modules then render into tables. This crate factors that
 //! pile out into an explicit job model:
 //!
-//! * [`JobSpec`] names one unit of work — a SpaceA simulation or a GPU
-//!   baseline model run — by *content*: the matrix source, mapping kind,
-//!   hardware configuration and energy parameters. [`JobSpec::key`] hashes
-//!   all of it into a stable 64-bit [`JobKey`], so two jobs with the same
-//!   key compute the same result.
-//! * [`run_jobs`] shards a job list across `std::thread` workers. Results
-//!   land in a shared [`ResultStore`] keyed by [`JobKey`]; because rendering
-//!   reads results from the store (serially), table output is bit-for-bit
-//!   identical whatever the worker count or completion order.
-//! * [`run_jobs_supervised`] adds crash isolation on top: every attempt is
-//!   panic-guarded, hung simulations are cut off by the sim watchdog or a
-//!   per-attempt wall-clock budget, transient errors retry with backoff, and
-//!   each job ends with an explicit [`JobStatus`] so one bad job never takes
-//!   a sweep down.
+//! * [`JobSpec`] names one unit of work — a SpaceA simulation, a GPU
+//!   baseline model run, or a scenario cell (backend × storage format ×
+//!   partitioning) — by *content*: the matrix source, mapping kind,
+//!   hardware configuration, model parameters and scenario axes.
+//!   [`JobSpec::key`] hashes all of it into a stable 64-bit [`JobKey`], so
+//!   two jobs with the same key compute the same result.
+//! * [`exec::execute`] runs one job, optionally observed for a timeline.
+//! * [`run_jobs_with`] shards a job list across `std::thread` workers
+//!   under [`RunOptions`] ([`run_jobs`] is its default-options shorthand).
+//!   Results land in a shared [`ResultStore`] keyed by [`JobKey`]; because
+//!   rendering reads results from the store (serially), table output is
+//!   bit-for-bit identical whatever the worker count or completion order.
+//!   Every attempt is panic-guarded, hung simulations are cut off by the
+//!   sim watchdog or a per-attempt wall-clock budget, transient errors
+//!   retry with backoff, and each job ends with an explicit [`JobStatus`]
+//!   so one bad job never takes a sweep down.
 //! * [`ResultStore`] optionally persists every result as one JSON file per
 //!   key (default directory `target/spacea-cache/`), so a re-run only
 //!   simulates what changed. Floats are stored as IEEE-754 bit patterns and
@@ -51,8 +53,8 @@ pub mod telemetry;
 pub mod timeline;
 
 pub use exec::{
-    dedup_jobs, input_vector, run_jobs, run_jobs_observed, run_jobs_supervised, ExecFailure,
-    JobCtx, RunOutput, SupervisionPolicy,
+    dedup_jobs, input_vector, run_jobs, run_jobs_with, ExecFailure, JobCtx, RunOptions, RunOutput,
+    SupervisionPolicy,
 };
 pub use job::{GraphOperand, JobKey, JobSpec, MatrixSource};
 pub use mapstore::{MappingStats, MappingStore};

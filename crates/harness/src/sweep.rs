@@ -507,7 +507,7 @@ mod tests {
         assert_eq!(s.scales, vec![8, 16]);
         assert_eq!(s.kinds, vec![MapKind::Naive, MapKind::Proposed]);
         assert_eq!(s.hw.len(), 2);
-        assert_eq!(s.hw[1].1, HwConfig::hbm_like());
+        assert_eq!(s.hw[1].1, HwConfig::spacea_on_hbm());
         assert_eq!(s.cubes, vec![1, 2, 4]);
         assert!(s.gpu);
     }

@@ -7,8 +7,8 @@
 use proptest::prelude::*;
 use spacea_harness::exec::execute;
 use spacea_harness::{
-    input_vector, run_jobs_supervised, CacheOutcome, JobCtx, JobResult, JobSpec, MappingStats,
-    MatrixSource, ResultStore, RunManifest, SupervisionPolicy,
+    input_vector, run_jobs_with, CacheOutcome, JobCtx, JobResult, JobSpec, MappingStats,
+    MatrixSource, ResultStore, RunManifest, RunOptions, SupervisionPolicy,
 };
 use spacea_mapping::MapKind;
 use spacea_model::EnergyParams;
@@ -56,8 +56,8 @@ proptest! {
             _ => {} // healthy control
         }
         let ctx = JobCtx::new();
-        match execute(&spec, &ctx) {
-            Ok(JobResult::Sim(report)) => {
+        match execute(&spec, &ctx, None) {
+            Ok((JobResult::Sim(report), _)) => {
                 let a = ctx.matrix(&MatrixSource::Suite { id: 1, scale: 256 });
                 let want = a.spmv(&input_vector(a.cols()));
                 prop_assert_eq!(report.output.len(), want.len());
@@ -83,13 +83,8 @@ fn panicking_job_is_isolated_from_the_rest_of_the_sweep() {
     let mut jobs = vec![watched_sim(1), watched_sim(2), watched_sim(3)];
     faults_of(&mut jobs[0]).panic_on_run = true;
     let store = ResultStore::in_memory();
-    let out = run_jobs_supervised(
-        &jobs,
-        &store,
-        &Arc::new(JobCtx::new()),
-        2,
-        &SupervisionPolicy::default(),
-    );
+    let opts = RunOptions { workers: 2, ..RunOptions::default() };
+    let out = run_jobs_with(&jobs, &store, &Arc::new(JobCtx::new()), &opts);
     assert_eq!(out.records.len(), 3);
     assert_eq!(out.records[0].status.tag(), "failed");
     assert!(
@@ -109,13 +104,8 @@ fn stalled_vault_times_out_with_a_diagnosis_naming_the_vault() {
     let mut jobs = vec![watched_sim(1), watched_sim(2)];
     faults_of(&mut jobs[0]).stall_vault = Some((0, 100));
     let store = ResultStore::in_memory();
-    let out = run_jobs_supervised(
-        &jobs,
-        &store,
-        &Arc::new(JobCtx::new()),
-        2,
-        &SupervisionPolicy::default(),
-    );
+    let opts = RunOptions { workers: 2, ..RunOptions::default() };
+    let out = run_jobs_with(&jobs, &store, &Arc::new(JobCtx::new()), &opts);
     assert_eq!(out.records[0].status.tag(), "timed-out");
     let diagnosis = out.records[0].status.failure().unwrap();
     assert!(diagnosis.contains("vault 0"), "diagnosis must name the stalled vault: {diagnosis}");
@@ -147,12 +137,12 @@ fn rerun_over_disk_cache_retries_only_the_failed_job() {
     faults_of(&mut jobs[0]).flip_accum_update = Some(0);
 
     let run = |store: &ResultStore| {
-        run_jobs_supervised(
+        let policy = SupervisionPolicy { max_retries: 0, ..SupervisionPolicy::default() };
+        run_jobs_with(
             &jobs,
             store,
             &Arc::new(JobCtx::new()),
-            2,
-            &SupervisionPolicy { max_retries: 0, ..SupervisionPolicy::default() },
+            &RunOptions { workers: 2, policy, ..RunOptions::default() },
         )
     };
     let first = ResultStore::with_disk(&dir).unwrap();
@@ -193,13 +183,8 @@ fn wall_clock_budget_abandons_a_slow_attempt() {
         wall_budget: Some(Duration::from_millis(1)),
         ..SupervisionPolicy::default()
     };
-    let out = run_jobs_supervised(
-        std::slice::from_ref(&job),
-        &store,
-        &Arc::new(JobCtx::new()),
-        1,
-        &policy,
-    );
+    let opts = RunOptions { workers: 1, policy, ..RunOptions::default() };
+    let out = run_jobs_with(std::slice::from_ref(&job), &store, &Arc::new(JobCtx::new()), &opts);
     assert_eq!(out.records[0].status.tag(), "timed-out");
     assert!(
         out.records[0].status.failure().unwrap().contains("wall-clock"),

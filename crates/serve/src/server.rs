@@ -104,11 +104,13 @@ fn handle_connection(stream: TcpStream, service: &Service, stop: &AtomicBool) {
     // instead of pinning the scope join on an idle client.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    // Bytes accumulate across read timeouts: a line that arrives in pieces
+    // (even split inside a multi-byte character) is handled only once its
+    // newline (or EOF) is in, and decoded as UTF-8 once, whole.
+    let mut line = Vec::new();
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => return, // client hung up
+        match reader.read_until(b'\n', &mut line) {
+            Ok(0) if line.is_empty() => return, // client hung up
             Ok(_) => {}
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
                 if stop.load(Ordering::SeqCst) {
@@ -118,13 +120,16 @@ fn handle_connection(stream: TcpStream, service: &Service, stop: &AtomicBool) {
             }
             Err(_) => return,
         }
-        if line.trim().is_empty() {
-            continue;
-        }
-        let response = match Request::parse(line.trim()) {
-            Ok(req) => dispatch(req, service, stop),
-            Err(e) => protocol::err_code("bad-request", &e),
+        let response = match std::str::from_utf8(&line).map(str::trim) {
+            Ok("") => None,
+            Ok(text) => Some(match Request::parse(text) {
+                Ok(req) => dispatch(req, service, stop),
+                Err(e) => protocol::err_code("bad-request", &e),
+            }),
+            Err(e) => Some(protocol::err_code("bad-request", &format!("request line: {e}"))),
         };
+        line.clear();
+        let Some(response) = response else { continue };
         if writeln!(writer, "{}", response.to_text()).is_err() {
             return;
         }

@@ -2,7 +2,8 @@
 //! requests over real localhost TCP match the offline reference SpMV
 //! bitwise, and a restarted daemon performs zero Phase I/II mapping
 //! computations for previously registered matrices. A hostile request
-//! line earns a coded error and leaves the daemon serving.
+//! line earns a coded error and leaves the daemon serving, and a line that
+//! arrives in pieces is answered whole.
 
 use spacea_obs::json::{self, Json};
 use spacea_serve::client::read_port;
@@ -67,11 +68,57 @@ fn a_megabyte_of_open_brackets_is_a_bad_request_not_a_crash() {
             assert_eq!(v.get("ok"), Some(&Json::Bool(true)), "ping on the same connection");
         }
     }
+    // A line that is not UTF-8 is a coded error too, not a hangup.
+    writer.write_all(b"{\"cmd\":\"\xff\"}\n").unwrap();
+    reply.clear();
+    reader.read_line(&mut reply).unwrap();
+    let v = json::parse(reply.trim()).expect("the daemon answers a non-UTF-8 line");
+    assert_eq!(v.get("code").and_then(Json::as_str), Some("bad-request"));
     let mut client = Client::connect_dir(&dir).unwrap();
     client.ping().unwrap();
     client.shutdown().unwrap();
     daemon.join().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Sends one request line in two writes with a pause longer than the
+/// daemon's 200 ms read timeout between them, and returns the parsed reply.
+fn reply_to_split_line(tag: &str, line: &[u8], split: usize) -> Json {
+    let dir = tmp_dir(tag);
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let daemon = start_daemon(&dir);
+
+    let stream = TcpStream::connect(("127.0.0.1", read_port(&dir).unwrap())).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    writer.write_all(&line[..split]).unwrap();
+    writer.flush().unwrap();
+    std::thread::sleep(Duration::from_millis(600));
+    writer.write_all(&line[split..]).unwrap();
+    let mut reply = String::new();
+    reader.read_line(&mut reply).unwrap();
+
+    let mut client = Client::connect_dir(&dir).unwrap();
+    client.shutdown().unwrap();
+    daemon.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    json::parse(reply.trim()).unwrap_or_else(|e| panic!("reply {reply:?} does not parse: {e}"))
+}
+
+#[test]
+fn a_request_line_split_by_a_pause_is_answered_whole() {
+    let line = b"{\"cmd\":\"ping\"}\n";
+    let v = reply_to_split_line("split-ascii", line, "{\"cmd\":\"pi".len());
+    assert_eq!(v.get("ok"), Some(&Json::Bool(true)), "{}", v.to_text());
+}
+
+#[test]
+fn a_request_line_split_inside_a_utf8_character_is_answered_whole() {
+    let line = "{\"cmd\":\"ping\",\"note\":\"é\"}\n".as_bytes();
+    let split = line.iter().position(|b| *b == 0xC3).unwrap() + 1;
+    let v = reply_to_split_line("split-utf8", line, split);
+    assert_eq!(v.get("ok"), Some(&Json::Bool(true)), "{}", v.to_text());
 }
 
 #[test]
