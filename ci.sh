@@ -7,6 +7,11 @@ cargo test -q
 cargo fmt --check
 cargo clippy --workspace -- -D warnings
 
+# The benchmark is a workspace of its own: build it against the serve and
+# harness APIs and run its stats tests, so an API change that breaks it
+# fails here rather than in the next benchmark run.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
+
 # Static analysis: the workspace must be clean modulo the committed baseline,
 # and the baseline itself may only shrink (the ratchet). The second check is
 # skipped on the first commit that introduces the baseline.

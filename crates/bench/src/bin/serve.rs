@@ -19,7 +19,11 @@
 //!   a per-request deadline.
 //! * `serve register --mtx PATH` — register a MatrixMarket file with the
 //!   daemon and print its content key; `submit` then works against that
-//!   key the same way it does for suite matrices.
+//!   key the same way it does for suite matrices. The upload is one
+//!   protocol line, so the file (newlines escaped) must fit in 64 MiB
+//!   (`spacea_serve::MAX_LINE_BYTES`); a larger one is refused with
+//!   `too-large`. Suite matrices need no upload: `submit --matrix ID/SCALE`
+//!   registers them by id.
 //! * `serve compact [--retain N]` — drop acked journal files beyond the
 //!   newest N (default 8); crash-safe (watermark first, unlink second).
 //! * `serve stat` — print the daemon's counters as JSON (including the
@@ -32,7 +36,7 @@ use spacea_serve::{run_daemon, seeded_vector, CallError, ChaosPlan, Client, Serv
 const SERVE_USAGE: &str = "serve: start|submit|register|compact|stat|shutdown | --port N | \
      --max-batch N | --compact-every N | --chaos SPEC | --chaos-seed N | \
      --matrix ID/SCALE[,ID/SCALE...] | --seeds N[,N...] | --deadline-ms N | --check | \
-     --mtx PATH | --retain N";
+     --mtx PATH (at most 64 MiB) | --retain N";
 
 fn main() {
     let mut verb: Option<String> = None;

@@ -10,7 +10,7 @@
 use crate::protocol::{self, Request, PORT_FILE};
 use spacea_obs::json::Json;
 use std::fmt;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -120,6 +120,9 @@ impl Client {
         let stream = TcpStream::connect(("127.0.0.1", port)).map_err(|e| {
             CallError::transport(format!("cannot reach daemon on port {port}: {e}"))
         })?;
+        stream
+            .set_nodelay(true)
+            .map_err(|e| CallError::transport(format!("cannot set TCP_NODELAY: {e}")))?;
         let writer = stream
             .try_clone()
             .map_err(|e| CallError::transport(format!("cannot clone stream: {e}")))?;
@@ -170,10 +173,17 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// Returns a `transport`-coded error for connection failures, or the
-    /// daemon's coded error when the response reports `ok: false`.
+    /// Returns a `transport`-coded error for connection failures, the
+    /// daemon's coded error when the response reports `ok: false`, or
+    /// `too-large`, without sending anything, for a request line longer
+    /// than [`protocol::MAX_LINE_BYTES`].
     pub fn call(&mut self, req: &Request) -> Result<Json, CallError> {
-        writeln!(self.writer, "{}", req.to_line())
+        let text = req.to_line();
+        if text.len() >= protocol::MAX_LINE_BYTES {
+            let e = protocol::line_too_large(Some(text.len() + 1));
+            return Err(CallError { code: e.code().to_string(), message: e.to_string() });
+        }
+        protocol::write_line(&mut self.writer, text)
             .map_err(|e| CallError::transport(format!("send failed: {e}")))?;
         let mut line = String::new();
         let n = self
@@ -222,7 +232,9 @@ impl Client {
     /// # Errors
     ///
     /// Propagates transport failures and daemon-side rejections
-    /// (`bad-request` for unparseable MatrixMarket text).
+    /// (`bad-request` for unparseable MatrixMarket text), and `too-large`
+    /// when the escaped text does not fit one request line
+    /// ([`protocol::MAX_LINE_BYTES`]).
     pub fn register_mtx(&mut self, text: &str) -> Result<RegisterReply, CallError> {
         let v = self.call(&Request::RegisterMtx { text: text.to_string() })?;
         register_reply(&v)

@@ -18,6 +18,9 @@ pub enum ServeError {
     UnknownMatrix(u64),
     /// The request itself is malformed (bad suite id, bad field, ...).
     BadRequest(String),
+    /// The request exceeds a size limit (today: a request line longer
+    /// than [`crate::protocol::MAX_LINE_BYTES`]).
+    TooLarge(String),
     /// The admission queue was at or above its high-water mark; the
     /// request was shed instead of queued. Retry later, with backoff.
     Overloaded {
@@ -55,6 +58,7 @@ impl ServeError {
         match self {
             ServeError::UnknownMatrix(_) => "unknown-matrix",
             ServeError::BadRequest(_) => "bad-request",
+            ServeError::TooLarge(_) => "too-large",
             ServeError::Overloaded { .. } => "overloaded",
             ServeError::DeadlineExceeded { .. } => "deadline-exceeded",
             ServeError::Stopped => "stopped",
@@ -89,6 +93,7 @@ impl fmt::Display for ServeError {
         match self {
             ServeError::UnknownMatrix(key) => write!(f, "unknown matrix {key:016x}"),
             ServeError::BadRequest(msg) => write!(f, "bad request: {msg}"),
+            ServeError::TooLarge(msg) => write!(f, "too large: {msg}"),
             ServeError::Overloaded { depth } => {
                 write!(f, "admission queue overloaded ({depth} requests waiting); retry later")
             }
@@ -126,6 +131,7 @@ mod tests {
         assert_eq!(ServeError::Stopped.code(), "stopped");
         assert_eq!(ServeError::Lost.code(), "internal");
         assert_eq!(ServeError::BadRequest("x".into()).code(), "bad-request");
+        assert_eq!(ServeError::TooLarge("x".into()).code(), "too-large");
         assert_eq!(
             ServeError::Sim(SimError::DimensionMismatch { expected: 4, actual: 3 }).code(),
             "bad-request"

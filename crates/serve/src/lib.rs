@@ -63,6 +63,6 @@ pub use client::{CallError, Client, CompactReply};
 pub use engine::{EngineStats, RegisterInfo, ServeConfig, ServeEngine};
 pub use error::ServeError;
 pub use journal::{vec_hash, AckJournal, AckRecord, CompactionStats, JournalLoad};
-pub use protocol::{seeded_vector, Request, PORT_FILE};
+pub use protocol::{seeded_vector, Request, MAX_LINE_BYTES, PORT_FILE};
 pub use server::run_daemon;
 pub use service::{Service, SubmitReply};

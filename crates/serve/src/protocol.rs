@@ -6,13 +6,75 @@
 //! (`u64`), so the protocol preserves the simulator's bitwise guarantees
 //! end to end: what the client decodes is exactly what the machine
 //! produced, including negative zeros.
+//!
+//! # Framing
+//!
+//! Both ends send a line — its JSON text and the closing `'\n'` — with one
+//! `write` ([`write_line`]) and keep `TCP_NODELAY` on their stream. A line
+//! sent as two writes (text, then newline) stalls on loopback: Nagle holds
+//! the 1-byte tail until the peer ACKs the text, and the peer, still
+//! waiting for the newline, delays that ACK by ~40 ms — once per direction,
+//! about 90 ms per round trip. The single write is what removes the stall;
+//! with `TCP_NODELAY` on as well, no write of the protocol waits on Nagle.
+//!
+//! A request line holds at most [`MAX_LINE_BYTES`], newline included. The
+//! daemon reads through that cap, so a client that never sends a newline
+//! cannot grow its buffer without bound: past the cap it gets a
+//! `too-large` error and the connection closes, since the rest of the line
+//! cannot be framed. [`crate::Client`] refuses such a line with the same
+//! code before sending a byte of it.
 
+use crate::error::ServeError;
 use spacea_obs::json::Json;
+use std::io::{self, Write};
 
 /// Name of the file (under the daemon's cache directory) that holds the
 /// bound TCP port, written once the listener is up. Doubles as the
 /// "daemon is ready" signal for scripts.
 pub const PORT_FILE: &str = "serve.port";
+
+/// Longest request line the daemon reads, newline included: 64 MiB.
+///
+/// The one request that can be long is `register-mtx`, whose line carries
+/// a whole MatrixMarket file. A stored entry costs at most 42 bytes of
+/// line (two 7-digit indices, a 24-character shortest-round-trip `f64`,
+/// two separators, the newline escaped as `\n`), so the cap admits at
+/// least 1.6 million stored entries. Of the Table I matrices at full
+/// scale that covers bcsstk32, ct20stif (both stored symmetric), lhr71 and
+/// soc-sign-epinions, but not the largest: crankseg_2 stores ~7.1 million
+/// entries even in symmetric form (~285 MiB of text at that bound) and
+/// pwtk ~5.9 million. Table I matrices register by suite id
+/// (`register {id, scale}`), which sends no text; an upload past the cap
+/// is refused with `too-large`. The cap is not raised to fit them because
+/// the daemon holds the whole line while reading it and copies it again
+/// while decoding, so any local client could make it hold twice the cap.
+pub const MAX_LINE_BYTES: usize = 64 << 20;
+
+/// The `too-large` message for a request line past [`MAX_LINE_BYTES`];
+/// `len` is the line's length when the sender knows it (the daemon stops
+/// reading at the cap, so it does not).
+pub(crate) fn line_too_large(len: Option<usize>) -> ServeError {
+    let what = match len {
+        Some(n) => format!("request line of {n} bytes"),
+        None => "request line".to_string(),
+    };
+    ServeError::TooLarge(format!(
+        "{what} exceeds the {} MiB limit ({MAX_LINE_BYTES} bytes, newline included)",
+        MAX_LINE_BYTES >> 20
+    ))
+}
+
+/// Sends `json_text` and its closing newline as one `write_all`, so the
+/// line leaves in as few segments as its length allows (see the module
+/// docs on framing).
+///
+/// # Errors
+///
+/// Propagates the write error.
+pub fn write_line(w: &mut impl Write, mut json_text: String) -> io::Result<()> {
+    json_text.push('\n');
+    w.write_all(json_text.as_bytes())
+}
 
 /// A parsed client request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -233,6 +295,24 @@ mod tests {
             let line = req.to_line();
             assert_eq!(Request::parse(&line).unwrap(), req, "{line}");
         }
+    }
+
+    #[test]
+    fn write_line_sends_text_and_newline_in_one_write() {
+        /// Records each `write` call's bytes.
+        struct Writes(Vec<Vec<u8>>);
+        impl Write for Writes {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = Writes(Vec::new());
+        write_line(&mut w, Request::Ping.to_line()).unwrap();
+        assert_eq!(w.0, vec![b"{\"cmd\":\"ping\"}\n".to_vec()]);
     }
 
     #[test]

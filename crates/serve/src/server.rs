@@ -17,11 +17,11 @@
 use crate::chaos::ConnFault;
 use crate::engine::{write_atomic, ServeConfig, ServeEngine};
 use crate::error::ServeError;
-use crate::protocol::{self, Request, PORT_FILE};
+use crate::protocol::{self, Request, MAX_LINE_BYTES, PORT_FILE};
 use crate::service::Service;
 use spacea_obs::json::Json;
-use std::io::{BufRead, BufReader, ErrorKind, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, ErrorKind, Read};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -96,20 +96,26 @@ pub fn run_daemon(cfg: ServeConfig, port: u16) -> std::io::Result<()> {
 }
 
 /// Serves one connection: a loop of request lines, one response line
-/// each, until EOF, a protocol-level hangup, or daemon shutdown.
+/// each, until EOF, a protocol-level hangup, an over-long line, or daemon
+/// shutdown.
 fn handle_connection(stream: TcpStream, service: &Service, stop: &AtomicBool) {
     let Ok(writer) = stream.try_clone() else { return };
     let mut writer = writer;
+    // Replies leave in one write each (`protocol::write_line`), and no
+    // write waits on Nagle (see the protocol module docs on framing).
+    let _ = stream.set_nodelay(true);
     // A finite read timeout lets handler threads notice daemon shutdown
     // instead of pinning the scope join on an idle client.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
     let mut reader = BufReader::new(stream);
     // Bytes accumulate across read timeouts: a line that arrives in pieces
     // (even split inside a multi-byte character) is handled only once its
-    // newline (or EOF) is in, and decoded as UTF-8 once, whole.
+    // newline (or EOF) is in, and decoded as UTF-8 once, whole. Reads go
+    // through `take`, so the line never grows past `MAX_LINE_BYTES`.
     let mut line = Vec::new();
     loop {
-        match reader.read_until(b'\n', &mut line) {
+        let room = (MAX_LINE_BYTES - line.len()) as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut line) {
             Ok(0) if line.is_empty() => return, // client hung up
             Ok(_) => {}
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
@@ -119,6 +125,26 @@ fn handle_connection(stream: TcpStream, service: &Service, stop: &AtomicBool) {
                 continue;
             }
             Err(_) => return,
+        }
+        if line.len() == MAX_LINE_BYTES && line.last() != Some(&b'\n') {
+            let reply = err_of(&protocol::line_too_large(None));
+            let _ = protocol::write_line(&mut writer, reply.to_text());
+            // The rest of the line cannot be framed, so the connection
+            // ends here. Discard input until EOF, a read timeout with
+            // nothing arriving, or shutdown before closing: closing over
+            // unread input resets the connection, and a reset may discard
+            // the reply before the client has read it.
+            let _ = writer.shutdown(Shutdown::Write);
+            while !stop.load(Ordering::SeqCst) {
+                match reader.fill_buf() {
+                    Ok([]) | Err(_) => return,
+                    Ok(buf) => {
+                        let n = buf.len();
+                        reader.consume(n);
+                    }
+                }
+            }
+            return;
         }
         let response = match std::str::from_utf8(&line).map(str::trim) {
             Ok("") => None,
@@ -130,7 +156,7 @@ fn handle_connection(stream: TcpStream, service: &Service, stop: &AtomicBool) {
         };
         line.clear();
         let Some(response) = response else { continue };
-        if writeln!(writer, "{}", response.to_text()).is_err() {
+        if protocol::write_line(&mut writer, response.to_text()).is_err() {
             return;
         }
         if stop.load(Ordering::SeqCst) {

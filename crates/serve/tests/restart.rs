@@ -2,14 +2,16 @@
 //! requests over real localhost TCP match the offline reference SpMV
 //! bitwise, and a restarted daemon performs zero Phase I/II mapping
 //! computations for previously registered matrices. A hostile request
-//! line earns a coded error and leaves the daemon serving, and a line that
-//! arrives in pieces is answered whole.
+//! line earns a coded error and leaves the daemon serving, a line that
+//! arrives in pieces is answered whole, a line past `MAX_LINE_BYTES` is
+//! rejected as `too-large`, and sequential round trips on one connection
+//! do not stall on delayed ACKs.
 
 use spacea_obs::json::{self, Json};
 use spacea_serve::client::read_port;
 use spacea_serve::{
     run_daemon, seeded_vector, AckJournal, Client, Request, ServeConfig, ServeEngine, Service,
-    PORT_FILE,
+    MAX_LINE_BYTES, PORT_FILE,
 };
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -75,6 +77,73 @@ fn a_megabyte_of_open_brackets_is_a_bad_request_not_a_crash() {
     let v = json::parse(reply.trim()).expect("the daemon answers a non-UTF-8 line");
     assert_eq!(v.get("code").and_then(Json::as_str), Some("bad-request"));
     let mut client = Client::connect_dir(&dir).unwrap();
+    client.ping().unwrap();
+    client.shutdown().unwrap();
+    daemon.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn sequential_pings_on_one_connection_do_not_wait_for_delayed_acks() {
+    let dir = tmp_dir("pings");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let daemon = start_daemon(&dir);
+
+    let mut client = Client::connect_dir(&dir).unwrap();
+    client.ping().unwrap();
+    // A line framed as two writes with Nagle on waits ~40 ms for a delayed
+    // ACK in each direction: ~4.5 s for 50 round trips instead of a few ms.
+    let start = Instant::now();
+    for _ in 0..50 {
+        client.ping().unwrap();
+    }
+    let took = start.elapsed();
+    client.shutdown().unwrap();
+    daemon.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(took < Duration::from_secs(1), "50 pings took {took:?}");
+}
+
+#[test]
+fn a_line_past_the_length_cap_is_too_large_and_the_daemon_serves_on() {
+    let dir = tmp_dir("too-large");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let daemon = start_daemon(&dir);
+
+    // Lines with no newline that overrun the cap by one byte, then by twice
+    // the cap: the daemon must read and discard the whole overrun so that
+    // it closes cleanly instead of resetting the connection under the
+    // client's feet.
+    let chunk = vec![b'a'; 1 << 20];
+    for extra in [1, 2 * MAX_LINE_BYTES] {
+        let stream = TcpStream::connect(("127.0.0.1", read_port(&dir).unwrap())).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = stream;
+        let mut left = MAX_LINE_BYTES + extra;
+        while left > 0 {
+            let n = left.min(chunk.len());
+            writer.write_all(&chunk[..n]).unwrap();
+            left -= n;
+        }
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        let v = json::parse(reply.trim()).expect("the daemon answers the over-long line");
+        assert_eq!(v.get("ok"), Some(&Json::Bool(false)));
+        assert_eq!(v.get("code").and_then(Json::as_str), Some("too-large"), "{}", v.to_text());
+        reply.clear();
+        let n = reader.read_line(&mut reply).unwrap();
+        assert_eq!(n, 0, "the connection closes after too-large");
+    }
+
+    // The client refuses an upload whose line would pass the cap without
+    // sending it, so the same connection serves on. Newlines travel
+    // escaped, two bytes each, so half the cap in newlines overruns it.
+    let mut client = Client::connect_dir(&dir).unwrap();
+    let err = client.register_mtx(&"\n".repeat(MAX_LINE_BYTES / 2)).unwrap_err();
+    assert_eq!(err.code, "too-large", "{err}");
+    assert!(err.message.contains("64 MiB"), "the message names the limit: {err}");
     client.ping().unwrap();
     client.shutdown().unwrap();
     daemon.join().unwrap();
