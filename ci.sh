@@ -5,7 +5,7 @@ set -eu
 cargo build --release
 cargo test -q
 cargo fmt --check
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 
 # The benchmark is a workspace of its own: build it against the serve and
 # harness APIs and run its stats tests, so an API change that breaks it
@@ -161,6 +161,12 @@ grep -q '"computed":0' "$SERVE_CACHE/serve-manifest.json"
 # code, and a restart over the (possibly corrupted) cache heals and replays
 # every journaled request correctly. A failing seed replays with --seed K.
 cargo run --release -p spacea-bench --bin serve_chaos -- --seeds 8
+
+# Simulator-semantics ratchet: cycles, events, activity-ledger hash and
+# output-vector hash of every sim and scenario job in the --quick registry
+# must match the committed snapshot exactly (refresh with
+# `semantics_bench --write` only for a deliberate semantic change).
+cargo run --release -p spacea-bench --bin semantics_bench -- --check BENCH_semantics.json
 
 # Service throughput ratchet: the deterministic cycles-per-batch snapshot
 # must match HEAD exactly (refresh with `serve_bench --write` when the

@@ -152,8 +152,14 @@ impl ProductPe {
     /// from the queue front and returns how many were popped, or `None`
     /// when the row is not resident (a completion for a row the queue never
     /// loaded — the caller decides whether that is an invariant breach).
+    ///
+    /// O(1): resident row ids are consecutive (`next_load` hands them out
+    /// in order, one load in flight at a time, and rows pop only from the
+    /// front), so `row_id` sits at `row_id - front.id`.
     pub fn complete_entry(&mut self, row_id: u32) -> Option<usize> {
-        let row = self.queue.iter_mut().find(|r| r.id == row_id)?;
+        let front = self.queue.front()?.id;
+        let ix = row_id.checked_sub(front)? as usize;
+        let row = self.queue.get_mut(ix).filter(|r| r.id == row_id)?;
         debug_assert!(row.remaining > 0);
         row.remaining -= 1;
         self.work += 1;

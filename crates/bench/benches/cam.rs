@@ -49,16 +49,17 @@ fn bench_cam(c: &mut Criterion) {
 
     g.bench_function("ldq_push_complete", |b| {
         b.iter_batched(
-            || LoadQueue::<u32>::new(512),
-            |mut ldq| {
+            || (LoadQueue::<u32>::new(512), Vec::new()),
+            |(mut ldq, mut woken)| {
                 for i in 0..N {
                     let key = i % 400;
                     ldq.push_forced(key, i as u32);
                     if i % 3 == 0 {
-                        ldq.complete(key);
+                        woken.clear();
+                        ldq.complete_into(key, &mut woken);
                     }
                 }
-                ldq
+                (ldq, woken)
             },
             BatchSize::SmallInput,
         )

@@ -46,17 +46,16 @@ impl CamConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Way<V> {
-    key: u64,
-    value: V,
-    /// Monotone timestamp for LRU ordering.
-    last_use: u64,
-}
-
 /// A set-associative CAM with LRU replacement.
 ///
 /// Keys are block indices (`u64`); values are the cached block payloads.
+///
+/// The ways live in three flat, set-major arrays (`keys`, `stamps`,
+/// `values`): way `w` of set `s` sits at index `s * ways + w`, so a CAM is
+/// three allocations whatever its geometry. A way's stamp is the tick of its
+/// last use; ticks start at 1, so a zero stamp marks an empty way. Ways fill
+/// in index order and are never emptied one by one (only [`Cam::clear`]
+/// empties them), so the occupied ways of a set are always a prefix.
 ///
 /// # Example
 ///
@@ -71,12 +70,15 @@ struct Way<V> {
 #[derive(Debug, Clone)]
 pub struct Cam<V> {
     config: CamConfig,
-    sets: Vec<Vec<Way<V>>>,
+    keys: Vec<u64>,
+    /// Monotone last-use tick per way (LRU order); 0 = empty way.
+    stamps: Vec<u64>,
+    values: Vec<V>,
     tick: u64,
     counters: CamCounters,
 }
 
-impl<V: Copy> Cam<V> {
+impl<V: Copy + Default> Cam<V> {
     /// Creates an empty CAM with the given geometry.
     ///
     /// # Panics
@@ -85,9 +87,12 @@ impl<V: Copy> Cam<V> {
     pub fn new(config: CamConfig) -> Self {
         assert!(config.sets > 0, "CAM needs at least one set");
         assert!(config.ways > 0, "CAM needs at least one way");
+        let n = config.sets * config.ways;
         Cam {
             config,
-            sets: (0..config.sets).map(|_| Vec::with_capacity(config.ways)).collect(),
+            keys: vec![0; n],
+            stamps: vec![0; n],
+            values: vec![V::default(); n],
             tick: 0,
             counters: CamCounters::default(),
         }
@@ -103,20 +108,25 @@ impl<V: Copy> Cam<V> {
         &self.counters
     }
 
-    fn set_index(&self, key: u64) -> usize {
-        (key % self.config.sets as u64) as usize
+    /// The index range of `key`'s set in the flat way arrays.
+    fn set_range(&self, key: u64) -> std::ops::Range<usize> {
+        let base = (key % self.config.sets as u64) as usize * self.config.ways;
+        base..base + self.config.ways
+    }
+
+    /// The flat index of the resident way holding `key`, if any.
+    fn find(&self, key: u64) -> Option<usize> {
+        self.set_range(key).find(|&i| self.stamps[i] != 0 && self.keys[i] == key)
     }
 
     /// Searches for `key`, updating LRU state and hit/miss counters.
     pub fn lookup(&mut self, key: u64) -> Option<V> {
         self.tick += 1;
-        let tick = self.tick;
-        let set = self.set_index(key);
-        match self.sets[set].iter_mut().find(|w| w.key == key) {
-            Some(way) => {
-                way.last_use = tick;
+        match self.find(key) {
+            Some(i) => {
+                self.stamps[i] = self.tick;
                 self.counters.hits += 1;
-                Some(way.value)
+                Some(self.values[i])
             }
             None => {
                 self.counters.misses += 1;
@@ -128,8 +138,7 @@ impl<V: Copy> Cam<V> {
     /// Searches for `key` without disturbing LRU order or counters (used by
     /// tests and by response paths that only need presence information).
     pub fn peek(&self, key: u64) -> Option<&V> {
-        let set = self.set_index(key);
-        self.sets[set].iter().find(|w| w.key == key).map(|w| &w.value)
+        self.find(key).map(|i| &self.values[i])
     }
 
     /// Inserts or refreshes `key`, evicting the LRU way if the set is full.
@@ -137,49 +146,46 @@ impl<V: Copy> Cam<V> {
     /// Returns the evicted `(key, value)` pair, if any.
     pub fn insert(&mut self, key: u64, value: V) -> Option<(u64, V)> {
         self.tick += 1;
-        let tick = self.tick;
-        let set_ix = self.set_index(key);
-        let ways = self.config.ways;
-        let set = &mut self.sets[set_ix];
         self.counters.fills += 1;
-        if let Some(way) = set.iter_mut().find(|w| w.key == key) {
-            way.value = value;
-            way.last_use = tick;
-            return None;
+        let range = self.set_range(key);
+        // One pass: a resident `key` is refreshed in place; otherwise the
+        // way with the smallest stamp is replaced. Empty ways stamp 0, so
+        // they win over every resident way (first empty way first), and
+        // resident stamps are distinct ticks, so the LRU victim is unique.
+        let mut victim = range.start;
+        for i in range {
+            if self.stamps[i] != 0 && self.keys[i] == key {
+                self.values[i] = value;
+                self.stamps[i] = self.tick;
+                return None;
+            }
+            if self.stamps[i] < self.stamps[victim] {
+                victim = i;
+            }
         }
-        if set.len() < ways {
-            set.push(Way { key, value, last_use: tick });
-            return None;
+        let evicted = (self.stamps[victim] != 0).then(|| (self.keys[victim], self.values[victim]));
+        if evicted.is_some() {
+            self.counters.evictions += 1;
         }
-        // The set is full (the non-full case returned above), so a victim
-        // always exists; an empty set degrades to a plain insert.
-        let Some(victim_ix) =
-            set.iter().enumerate().min_by_key(|(_, w)| w.last_use).map(|(i, _)| i)
-        else {
-            set.push(Way { key, value, last_use: tick });
-            return None;
-        };
-        let victim = set[victim_ix];
-        set[victim_ix] = Way { key, value, last_use: tick };
-        self.counters.evictions += 1;
-        Some((victim.key, victim.value))
+        self.keys[victim] = key;
+        self.values[victim] = value;
+        self.stamps[victim] = self.tick;
+        evicted
     }
 
     /// Removes every entry but keeps the counters.
     pub fn clear(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
-        }
+        self.stamps.fill(0);
     }
 
     /// Number of currently resident entries.
     pub fn len(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.stamps.iter().filter(|&&s| s != 0).count()
     }
 
     /// Returns `true` if no entries are resident.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.stamps.iter().all(|&s| s == 0)
     }
 }
 

@@ -12,7 +12,6 @@
 //! paper's cyclic PE queue revisit.
 
 use crate::stats::LdqCounters;
-use std::collections::BTreeMap;
 
 /// Outcome of pushing a request into a load queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,10 +24,61 @@ pub enum LdqPush {
     Full,
 }
 
+/// End of a waiter chain, and the vacant marker of an index slot.
+const NIL: u32 = u32::MAX;
+
+/// Index slots allocated up front; the table doubles from here as keys
+/// arrive, so an idle queue costs 256 bytes.
+const MIN_SLOTS: usize = 16;
+
+/// Fibonacci hashing: the multiplier is 2⁶⁴/φ, so the top bits of the
+/// product spread consecutive block indices across the table.
+const HASH_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// One open-addressed index slot: a pending key and its entry's position
+/// in the slab (`NIL` when the slot is vacant).
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    key: u64,
+    entry: u32,
+}
+
+/// One in-flight key: the simulated cycle it was admitted at (the
+/// latency-probe timestamp behind the `queue-age` gauge) and the first and
+/// last node of its waiter chain.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    key: u64,
+    since: u64,
+    head: u32,
+    tail: u32,
+}
+
+/// A parked waiter: a link in its key's FIFO chain, or in the free list.
+#[derive(Debug, Clone, Copy)]
+struct Node<W> {
+    waiter: W,
+    next: u32,
+}
+
 /// A fully-associative load queue tracking in-flight keys and their waiters.
 ///
 /// `W` identifies a waiter (a PE queue slot, a bank-group id, a vault id…)
-/// and is returned verbatim by [`LoadQueue::complete`].
+/// and is handed back verbatim by [`LoadQueue::complete_into`].
+///
+/// The state is three reusable arrays, so once a run has reached its peak
+/// occupancy no push, dedup or completion allocates:
+///
+/// * a dense slab of pending entries (completion swap-removes);
+/// * an open-addressed index from key to slab position — linear probing, a
+///   multiplicative hash, a power-of-two table kept at most half full
+///   (doubling as keys arrive, including forced pushes past capacity), and
+///   backward-shift deletion, so no tombstones build up;
+/// * a slab of waiter nodes holding each key's waiters as a FIFO chain,
+///   with completed chains spliced onto a free list.
+///
+/// Every operation is deterministic: nothing depends on a seeded hasher or
+/// on allocation addresses.
 ///
 /// # Example
 ///
@@ -38,24 +88,24 @@ pub enum LdqPush {
 /// let mut ldq: LoadQueue<&str> = LoadQueue::new(2);
 /// assert_eq!(ldq.push(10, "pe0"), LdqPush::NewRequest);
 /// assert_eq!(ldq.push(10, "pe1"), LdqPush::Deduplicated);
-/// assert_eq!(ldq.complete(10), vec!["pe0", "pe1"]);
+/// let mut woken = Vec::new();
+/// assert_eq!(ldq.complete_into(10, &mut woken), 2);
+/// assert_eq!(woken, vec!["pe0", "pe1"]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct LoadQueue<W> {
     capacity: usize,
-    pending: BTreeMap<u64, Entry<W>>,
+    slots: Vec<Slot>,
+    /// `64 - log2(slots.len())`: the hash keeps the product's top bits.
+    shift: u32,
+    entries: Vec<Entry>,
+    nodes: Vec<Node<W>>,
+    /// Head of the free-node list (`NIL` when empty).
+    free: u32,
     counters: LdqCounters,
 }
 
-/// One in-flight key: its waiters plus the simulated cycle it was admitted
-/// at (the latency-probe timestamp behind the `queue-age` gauge).
-#[derive(Debug, Clone)]
-struct Entry<W> {
-    since: u64,
-    waiters: Vec<W>,
-}
-
-impl<W> LoadQueue<W> {
+impl<W: Copy> LoadQueue<W> {
     /// Creates an empty queue holding at most `capacity` distinct keys.
     ///
     /// # Panics
@@ -63,7 +113,15 @@ impl<W> LoadQueue<W> {
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "load queue capacity must be positive");
-        LoadQueue { capacity, pending: BTreeMap::new(), counters: LdqCounters::default() }
+        LoadQueue {
+            capacity,
+            slots: vec![Slot { key: 0, entry: NIL }; MIN_SLOTS],
+            shift: 64 - MIN_SLOTS.trailing_zeros(),
+            entries: Vec::new(),
+            nodes: Vec::new(),
+            free: NIL,
+            counters: LdqCounters::default(),
+        }
     }
 
     /// Maximum number of distinct in-flight keys.
@@ -73,17 +131,17 @@ impl<W> LoadQueue<W> {
 
     /// Number of keys currently in flight.
     pub fn len(&self) -> usize {
-        self.pending.len()
+        self.entries.len()
     }
 
     /// Returns `true` if no keys are in flight.
     pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
+        self.entries.is_empty()
     }
 
     /// Returns `true` if `key` is currently in flight.
     pub fn contains(&self, key: u64) -> bool {
-        self.pending.contains_key(&key)
+        self.probe(key).1
     }
 
     /// Activity counters accumulated so far.
@@ -106,18 +164,7 @@ impl<W> LoadQueue<W> {
     /// [`oldest_age`](LoadQueue::oldest_age) can report how long the
     /// longest-waiting request has been in flight.
     pub fn push_at(&mut self, key: u64, waiter: W, now: u64) -> LdqPush {
-        if let Some(entry) = self.pending.get_mut(&key) {
-            entry.waiters.push(waiter);
-            self.counters.deduplicated += 1;
-            return LdqPush::Deduplicated;
-        }
-        if self.pending.len() >= self.capacity {
-            self.counters.rejected_full += 1;
-            return LdqPush::Full;
-        }
-        self.pending.insert(key, Entry { since: now, waiters: vec![waiter] });
-        self.counters.new_requests += 1;
-        LdqPush::NewRequest
+        self.push_impl(key, waiter, now, false)
     }
 
     /// Registers `waiter` for `key`, admitting the key even when the queue
@@ -136,29 +183,70 @@ impl<W> LoadQueue<W> {
     /// [`push_forced`](LoadQueue::push_forced) with an admission timestamp
     /// (see [`push_at`](LoadQueue::push_at)).
     pub fn push_forced_at(&mut self, key: u64, waiter: W, now: u64) -> LdqPush {
-        if let Some(entry) = self.pending.get_mut(&key) {
-            entry.waiters.push(waiter);
+        self.push_impl(key, waiter, now, true)
+    }
+
+    fn push_impl(&mut self, key: u64, waiter: W, now: u64, forced: bool) -> LdqPush {
+        let (slot, found) = self.probe(key);
+        if found {
+            let node = self.alloc_node(waiter);
+            let entry = &mut self.entries[self.slots[slot].entry as usize];
+            let tail = std::mem::replace(&mut entry.tail, node);
+            self.nodes[tail as usize].next = node;
             self.counters.deduplicated += 1;
             return LdqPush::Deduplicated;
         }
-        if self.pending.len() >= self.capacity {
+        if self.entries.len() >= self.capacity {
             self.counters.rejected_full += 1;
+            if !forced {
+                return LdqPush::Full;
+            }
         }
-        self.pending.insert(key, Entry { since: now, waiters: vec![waiter] });
+        // Keep the table at most half full, so probe runs stay short and a
+        // vacant slot always ends them.
+        let slot = if (self.entries.len() + 1) * 2 > self.slots.len() {
+            self.grow();
+            self.probe(key).0
+        } else {
+            slot
+        };
+        let node = self.alloc_node(waiter);
+        self.slots[slot] = Slot { key, entry: self.entries.len() as u32 };
+        self.entries.push(Entry { key, since: now, head: node, tail: node });
         self.counters.new_requests += 1;
         LdqPush::NewRequest
     }
 
-    /// Completes `key`, removing it and returning its waiters in arrival
-    /// order. Returns an empty vector if the key was not pending.
-    pub fn complete(&mut self, key: u64) -> Vec<W> {
-        match self.pending.remove(&key) {
-            Some(entry) => {
-                self.counters.completed += 1;
-                entry.waiters
-            }
-            None => Vec::new(),
+    /// Completes `key`: removes it and appends its waiters to `out` in
+    /// arrival order, returning how many were appended (0, with `out`
+    /// untouched, if the key was not pending). Callers keep one `out`
+    /// buffer and clear it between completions, so waking waiters does not
+    /// allocate either.
+    pub fn complete_into(&mut self, key: u64, out: &mut Vec<W>) -> usize {
+        let (slot, found) = self.probe(key);
+        if !found {
+            return 0;
         }
+        let ix = self.slots[slot].entry as usize;
+        self.remove_slot(slot);
+        let entry = self.entries.swap_remove(ix);
+        if let Some(moved) = self.entries.get(ix) {
+            // The last entry now sits at `ix`: repoint its index slot.
+            let (moved_slot, _) = self.probe(moved.key);
+            self.slots[moved_slot].entry = ix as u32;
+        }
+        let mut n = 0;
+        let mut node = entry.head;
+        while node != NIL {
+            let Node { waiter, next } = self.nodes[node as usize];
+            out.push(waiter);
+            n += 1;
+            node = next;
+        }
+        self.nodes[entry.tail as usize].next = self.free;
+        self.free = entry.head;
+        self.counters.completed += 1;
+        n
     }
 
     /// Age in cycles of the longest-waiting in-flight key at cycle `now`,
@@ -166,13 +254,89 @@ impl<W> LoadQueue<W> {
     /// occupancy is the signature of a stuck (not merely deep) queue —
     /// the stall-diagnosis signal occupancy gauges cannot provide.
     pub fn oldest_age(&self, now: u64) -> u64 {
-        self.pending.values().map(|e| now.saturating_sub(e.since)).max().unwrap_or(0)
+        self.entries.iter().map(|e| now.saturating_sub(e.since)).max().unwrap_or(0)
+    }
+
+    /// The slot holding `key` and `true`, or the vacant slot that ends its
+    /// probe run and `false`.
+    fn probe(&self, key: u64) -> (usize, bool) {
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(key);
+        loop {
+            let s = self.slots[i];
+            if s.entry == NIL {
+                return (i, false);
+            }
+            if s.key == key {
+                return (i, true);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    fn home(&self, key: u64) -> usize {
+        (key.wrapping_mul(HASH_MUL) >> self.shift) as usize
+    }
+
+    /// Doubles the index and re-inserts every pending key.
+    fn grow(&mut self) {
+        let size = self.slots.len() * 2;
+        self.slots = vec![Slot { key: 0, entry: NIL }; size];
+        self.shift = 64 - size.trailing_zeros();
+        for ix in 0..self.entries.len() {
+            let key = self.entries[ix].key;
+            let (slot, _) = self.probe(key);
+            self.slots[slot] = Slot { key, entry: ix as u32 };
+        }
+    }
+
+    /// Backward-shift deletion: empties `hole`, then walks the rest of its
+    /// probe run moving back every key whose home slot lies at or before
+    /// the hole, so each remaining key stays reachable from its home.
+    fn remove_slot(&mut self, mut hole: usize) {
+        let mask = self.slots.len() - 1;
+        let mut i = hole;
+        loop {
+            i = (i + 1) & mask;
+            let s = self.slots[i];
+            if s.entry == NIL {
+                break;
+            }
+            let displacement = i.wrapping_sub(self.home(s.key)) & mask;
+            if displacement >= (i.wrapping_sub(hole) & mask) {
+                self.slots[hole] = s;
+                hole = i;
+            }
+        }
+        self.slots[hole].entry = NIL;
+    }
+
+    /// A node holding `waiter` at the end of a chain, reusing a freed one
+    /// when there is one.
+    fn alloc_node(&mut self, waiter: W) -> u32 {
+        let node = Node { waiter, next: NIL };
+        if self.free == NIL {
+            self.nodes.push(node);
+            return (self.nodes.len() - 1) as u32;
+        }
+        let ix = self.free;
+        self.free = self.nodes[ix as usize].next;
+        self.nodes[ix as usize] = node;
+        ix
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Completes `key` into a fresh vector (the tests' shorthand for
+    /// `complete_into`).
+    fn complete<W: Copy>(q: &mut LoadQueue<W>, key: u64) -> Vec<W> {
+        let mut out = Vec::new();
+        q.complete_into(key, &mut out);
+        out
+    }
 
     #[test]
     fn first_push_is_new_request() {
@@ -197,9 +361,22 @@ mod tests {
         let mut q: LoadQueue<&str> = LoadQueue::new(4);
         q.push(9, "a");
         q.push(9, "b");
-        assert_eq!(q.complete(9), vec!["a", "b"]);
+        assert_eq!(complete(&mut q, 9), vec!["a", "b"]);
         assert!(!q.contains(9));
-        assert_eq!(q.complete(9), Vec::<&str>::new());
+        assert_eq!(complete(&mut q, 9), Vec::<&str>::new());
+    }
+
+    #[test]
+    fn complete_into_appends_and_counts() {
+        let mut q: LoadQueue<u32> = LoadQueue::new(4);
+        q.push(5, 1);
+        q.push(5, 2);
+        let mut out = vec![9];
+        assert_eq!(q.complete_into(5, &mut out), 2);
+        assert_eq!(out, vec![9, 1, 2], "waiters are appended after existing items");
+        assert_eq!(q.complete_into(5, &mut out), 0, "an absent key appends nothing");
+        assert_eq!(out, vec![9, 1, 2]);
+        assert_eq!(q.counters().completed, 1);
     }
 
     #[test]
@@ -218,7 +395,7 @@ mod tests {
         let mut q: LoadQueue<u32> = LoadQueue::new(1);
         q.push(1, 0);
         assert_eq!(q.push(2, 0), LdqPush::Full);
-        q.complete(1);
+        complete(&mut q, 1);
         assert_eq!(q.push(2, 0), LdqPush::NewRequest);
     }
 
@@ -239,12 +416,12 @@ mod tests {
         q.push_at(1, 1, 45);
         assert_eq!(q.oldest_age(50), 40);
         // Completing the oldest key leaves the younger one's age.
-        q.complete(1);
+        complete(&mut q, 1);
         assert_eq!(q.oldest_age(50), 20);
         // Forced pushes stamp too.
         q.push_forced_at(3, 0, 48);
         assert_eq!(q.oldest_age(50), 20);
-        q.complete(2);
+        complete(&mut q, 2);
         assert_eq!(q.oldest_age(50), 2);
     }
 
@@ -255,6 +432,6 @@ mod tests {
         assert_eq!(q.push_forced(2, 0), LdqPush::NewRequest);
         assert_eq!(q.len(), 2, "forced push admits over capacity");
         assert_eq!(q.counters().rejected_full, 1);
-        assert_eq!(q.complete(2), vec![0]);
+        assert_eq!(complete(&mut q, 2), vec![0]);
     }
 }
