@@ -64,6 +64,12 @@ if $EXP --only bogus > /dev/null 2>&1; then
   exit 1
 fi
 
+# Fidelity ratchet: EXPERIMENTS.md regenerates byte-identically at the
+# default scale, so a change that moves any table or Measured/Paper ratio
+# must commit the regenerated file.
+cargo run --release -p spacea-bench --bin write_experiments_md -- --no-cache --jobs 2
+git diff --exit-code EXPERIMENTS.md
+
 # Sweep smoke test: a tiny 2-axis grid run whole and as 2 shards sharing a
 # cache must merge byte-identically, and GC must respect its byte budget.
 SWEEP_CACHE=target/spacea-cache-ci

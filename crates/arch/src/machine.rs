@@ -201,7 +201,7 @@ impl Machine {
     }
 
     /// Runs the simulation described by `spec` — the single entrypoint for
-    /// every workload shape: plain SpMV, fused SpMM, traced, observed, and
+    /// every workload shape: plain SpMV, fused SpMM, observed, and
     /// incrementally flushed runs are all one [`RunSpec`] with different
     /// options.
     ///
@@ -215,7 +215,7 @@ impl Machine {
     /// forward-progress watchdog aborts the run (deadlock, stall window, or
     /// cycle budget — see [`spacea_sim::fault::WatchdogConfig`]).
     pub fn run<'a>(&'a self, spec: RunSpec<'a>) -> Result<RunOutput, SimError> {
-        let RunSpec { a, input, mapping, trace_capacity, observe, flush } = spec;
+        let RunSpec { a, input, mapping, observe, flush } = spec;
         let single = matches!(input, RunInput::Single(_));
         let xs: Vec<&[f64]> = match input {
             RunInput::Single(x) => vec![x],
@@ -223,12 +223,9 @@ impl Machine {
         };
         self.preflight(a, &xs, mapping)?;
         let mut sim = Sim::build(&self.cfg, a, xs, mapping);
-        // Observed runs keep a bounded trace too (duration slices derive
-        // from it); an explicit `traced` capacity takes precedence.
-        if let Some(cap) = trace_capacity.or(observe.map(|o| o.trace_capacity)) {
-            sim.trace = TraceLog::new(cap);
-        }
         if let Some(obs) = observe {
+            // A bounded trace prefix: the duration slices derive from it.
+            sim.trace = TraceLog::new(obs.trace_capacity);
             sim.arm_sampler(SamplerConfig { every: obs.every, capacity: obs.capacity });
             sim.flush_cb = flush;
         }
@@ -259,7 +256,7 @@ impl Machine {
         if single {
             report.output = outputs[0].clone();
         }
-        Ok(RunOutput { report, outputs, trace: trace_capacity.map(|_| trace), timeline })
+        Ok(RunOutput { report, outputs, timeline })
     }
 }
 
@@ -295,16 +292,15 @@ pub struct SampleFlush<'t> {
 
 /// What one simulation should compute and record. [`Machine::run`] is the
 /// only entrypoint; this spec composes the input shape (single vector or
-/// fused batch) with tracing, observation, and flush hooks as options — the
-/// next recording feature adds a field here, not another `run_*` method.
+/// fused batch) with observation and flush hooks as options — the next
+/// recording feature adds a field here, not another `run_*` method.
 ///
 /// Build with [`RunSpec::spmv`] or [`RunSpec::spmm`], then chain
-/// [`RunSpec::traced`], [`RunSpec::observed`], [`RunSpec::flushing`].
+/// [`RunSpec::observed`], [`RunSpec::flushing`].
 pub struct RunSpec<'a> {
     a: &'a Csr,
     input: RunInput<'a>,
     mapping: &'a Mapping,
-    trace_capacity: Option<usize>,
     observe: Option<ObserveConfig>,
     flush: Option<&'a mut dyn FnMut(&SampleFlush<'_>)>,
 }
@@ -327,15 +323,7 @@ impl<'a> RunSpec<'a> {
 
     /// A run over an explicit [`RunInput`].
     pub fn with_input(a: &'a Csr, input: RunInput<'a>, mapping: &'a Mapping) -> Self {
-        RunSpec { a, input, mapping, trace_capacity: None, observe: None, flush: None }
-    }
-
-    /// Record the first `capacity` machine events (the paper's "detailed
-    /// event trace", bounded so memory stays predictable) into
-    /// [`RunOutput::trace`].
-    pub fn traced(mut self, capacity: usize) -> Self {
-        self.trace_capacity = Some(capacity);
-        self
+        RunSpec { a, input, mapping, observe: None, flush: None }
     }
 
     /// Sample per-component gauges (queue occupancy, CAM and row-buffer hit
@@ -374,8 +362,6 @@ pub struct RunOutput {
     /// One oracle-validated output vector per input vector (length 1 for
     /// single-vector runs).
     pub outputs: Vec<Vec<f64>>,
-    /// The bounded event trace, present iff [`RunSpec::traced`] was set.
-    pub trace: Option<TraceLog<TraceRecord>>,
     /// Gauge series and duration slices, present iff [`RunSpec::observed`]
     /// was set.
     pub timeline: Option<Timeline>,
@@ -1643,27 +1629,6 @@ mod tests {
     }
 
     #[test]
-    fn traced_run_matches_untraced() {
-        let a = banded(&BandedConfig { n: 128, ..Default::default() });
-        let cfg = HwConfig::tiny();
-        let x = vec![1.0; a.cols()];
-        let mapping = LocalityMapping::default().map(&a, &cfg.shape);
-        let machine = Machine::new(cfg);
-        let plain = machine.run(RunSpec::spmv(&a, &x, &mapping)).unwrap().into_report();
-        let out = machine.run(RunSpec::spmv(&a, &x, &mapping).traced(500)).unwrap();
-        let log = out.trace.expect("a traced spec must yield a trace");
-        assert_eq!(plain.cycles, out.report.cycles, "tracing must not perturb timing");
-        assert_eq!(log.records().len(), 500);
-        assert!(log.dropped() > 0, "a real run has more than 500 events");
-        // Cycles in the trace are non-decreasing (event order).
-        for w in log.records().windows(2) {
-            assert!(w[0].cycle <= w[1].cycle);
-        }
-        // The trace starts with the first row loads.
-        assert!(matches!(log.records()[0].event, crate::trace::TraceEvent::RowLoaded { .. }));
-    }
-
-    #[test]
     fn observed_run_is_timing_neutral_and_collects_series() {
         let a = banded(&BandedConfig { n: 200, ..Default::default() });
         let cfg = HwConfig::tiny();
@@ -1694,6 +1659,12 @@ mod tests {
             !timeline.slices.is_empty(),
             "the trace prefix must pair into at least one duration slice"
         );
+        // Slices follow event order: they begin at non-decreasing cycles, and
+        // no response precedes its request.
+        for w in timeline.slices.windows(2) {
+            assert!(w[0].start <= w[1].start, "slices out of event order");
+        }
+        assert!(timeline.slices.iter().all(|s| s.end >= s.start));
         // The export round-trips through the validator.
         let summary = spacea_obs::json::validate_chrome_trace(&timeline.to_chrome_trace())
             .expect("export must be valid Chrome trace JSON");

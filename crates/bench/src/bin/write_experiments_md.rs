@@ -4,11 +4,13 @@
 //! Run: `cargo run --release -p spacea-bench --bin write_experiments_md`
 //! (writes `EXPERIMENTS.md` in the current directory).
 
+use spacea_bench::{HarnessOptions, HarnessSession};
 use std::fmt::Write as _;
 use std::time::Instant;
 
 fn main() {
-    let mut session = spacea_bench::harness();
+    let opts = HarnessOptions::from_args(std::env::args().skip(1)).unwrap_or_else(|e| e.exit());
+    let mut session = HarnessSession::from_opts(opts);
     let started = Instant::now();
     let manifest = session.prewarm(spacea_core::experiments::all_jobs(&session.opts.cfg));
     eprint!("{}", manifest.summary());
@@ -137,7 +139,6 @@ fn main() {
         }
         md.push_str("```\n\n");
     }
-    let _ = writeln!(md, "_Total harness time: {:.1}s._", started.elapsed().as_secs_f64());
 
     std::fs::write("EXPERIMENTS.md", &md).unwrap_or_else(|e| {
         eprintln!("write_experiments_md: cannot write EXPERIMENTS.md: {e}");

@@ -25,9 +25,9 @@
 //! [`SweepCli`]) plug them into the same parser via
 //! [`HarnessOptions::from_args_with`] instead of hand-rolling a second one.
 //!
-//! Each binary starts from a [`HarnessSession`] via [`harness`] (parse
-//! args, open the store) or [`HarnessSession::from_opts`]. Binaries with
-//! jobs first enumerate the jobs they consume (see
+//! Each binary starts from a [`HarnessSession`] via
+//! [`HarnessSession::from_opts`] (open the store over the parsed options).
+//! Binaries with jobs first enumerate the jobs they consume (see
 //! `spacea_core::experiments::Experiment::jobs`), compute them in parallel
 //! through [`HarnessSession::prewarm`] into a content-addressed
 //! [`ResultStore`], and only then render — rendering is pure lookup, so the
@@ -296,14 +296,6 @@ impl HarnessSession {
         std::fs::write(&self.manifest_path, manifest.to_json())?;
         Ok(self.manifest_path.clone())
     }
-}
-
-/// Parses the process arguments and builds the session (no job
-/// pre-warming: callers that have jobs pass them to
-/// [`HarnessSession::prewarm`]).
-pub fn harness() -> HarnessSession {
-    let opts = HarnessOptions::from_args(std::env::args().skip(1)).unwrap_or_else(|e| e.exit());
-    HarnessSession::from_opts(opts)
 }
 
 /// Prints one experiment's tables in the selected format.

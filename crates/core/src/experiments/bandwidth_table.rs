@@ -2,16 +2,13 @@
 //! machine: per-bank, per-vault TSV, cube-internal, and external SerDes
 //! bandwidths — the motivation table for near-bank processing ("2 TB/s
 //! internal bandwidth at the bank-level, which is 8 times ... TSV").
-//!
-//! Run: `cargo run --release -p spacea-bench --bin bandwidth_table [--cubes N]`
 
-use spacea_core::table::{fmt, Table};
+use super::context::ExpOutput;
+use crate::table::{fmt, Table};
+use spacea_arch::HwConfig;
 
-fn main() {
-    let session = spacea_bench::harness();
-    let csv = session.csv;
-    let cache = &session.cache;
-    let hw = &cache.cfg.hw;
+/// Regenerates the bandwidth hierarchy of `hw` (pure arithmetic, no jobs).
+pub fn run(hw: &HwConfig) -> ExpOutput {
     let shape = hw.shape;
 
     // 1 GHz clock: bytes/cycle == GB/s.
@@ -21,41 +18,58 @@ fn main() {
     let bank_level_cube = bank_gbs * banks_per_cube as f64;
     let tsv_cube = (hw.tsv_bytes_per_cycle * shape.vaults_per_cube) as f64;
     let serdes_cube = (hw.serdes_bytes_per_cycle * 4) as f64; // 4 mesh links
+    let ratio = bank_level_cube / tsv_cube;
 
-    let mut t = Table::new(
+    let mut table = Table::new(
         "Section II-C: bandwidth hierarchy of the configured machine (GB/s)",
         &["Level", "Per unit", "Per cube", "Whole machine"],
     );
-    t.push_row(vec![
+    table.push_row(vec![
         "DRAM bank interface".into(),
         fmt(bank_gbs, 1),
         fmt(bank_level_cube, 0),
         fmt(bank_level_cube * shape.cubes as f64, 0),
     ]);
-    t.push_row(vec![
+    table.push_row(vec![
         "TSV (vault slice)".into(),
         fmt(hw.tsv_bytes_per_cycle as f64, 1),
         fmt(tsv_cube, 0),
         fmt(tsv_cube * shape.cubes as f64, 0),
     ]);
-    t.push_row(vec![
+    table.push_row(vec![
         "SerDes links".into(),
         fmt(hw.serdes_bytes_per_cycle as f64, 1),
         fmt(serdes_cube, 0),
         fmt(serdes_cube * shape.cubes as f64, 0),
     ]);
-    t.push_note(format!(
-        "bank-level / TSV ratio: {:.1}x (the paper's Section II-C quotes 8x for the 16-vault, 256-bank cube)",
-        bank_level_cube / tsv_cube
+    table.push_note(format!(
+        "bank-level / TSV ratio: {ratio:.1}x (the paper's Section II-C quotes 8x for the 16-vault, 256-bank cube)"
     ));
-    t.push_note(format!(
+    table.push_note(format!(
         "paper's arithmetic at paper scale: 256 banks x 8 GB/s = 2 TB/s internal vs 256 GB/s TSV; this machine: {} banks/cube x {} GB/s",
         banks_per_cube,
         fmt(bank_gbs, 1)
     ));
-    if csv {
-        print!("{}", t.to_csv());
-    } else {
-        print!("{}", t.to_text());
+
+    ExpOutput {
+        id: "bandwidth_table",
+        table,
+        extra_tables: vec![],
+        headline: vec![("bank-level / TSV bandwidth ratio".into(), 8.0, ratio)],
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn scaled_machine_reproduces_the_8x_bank_to_tsv_ratio() {
+        let out = run(&HwConfig::scaled());
+        assert_eq!(out.table.rows.len(), 3);
+        assert_eq!(out.headline.len(), 1);
+        let (_, paper, measured) = &out.headline[0];
+        assert_eq!(*paper, 8.0);
+        assert_eq!(*measured, 8.0, "bank-level / TSV must be exactly 8x");
     }
 }

@@ -16,12 +16,18 @@
 //! | [`table3`] | Table III — graph analytics vs Tesseract/GraphP |
 //! | [`graphs`] | Case-study workloads (BFS, CC, PR, SSSP) as harness jobs |
 //! | [`formats`] | Scenario matrix — backend × format × partitioning cells |
+//! | [`utilization`] | Figure 8 discussion — PE and bank busy fractions |
+//! | [`bandwidth_table`] | Section II-C — bank-level vs TSV bandwidth (8×) |
+//! | [`hbm_comparison`] | Section VII — HMC-like vs HBM-like realization |
+//! | [`ablations`] | DESIGN.md §5 — cripple-one-mechanism slowdowns |
 //!
 //! All experiments share a [`SuiteCache`] so matrices, mappings and
 //! simulations are computed once per process. The default [`ExpConfig`]
 //! scales the Table I matrices by 1/8 and the machine to 2 cubes, preserving
 //! the paper's work-per-PE regime (see DESIGN.md §4).
 
+pub mod ablations;
+pub mod bandwidth_table;
 pub mod context;
 pub mod fig10;
 pub mod fig2;
@@ -32,9 +38,11 @@ pub mod fig8;
 pub mod fig9;
 pub mod formats;
 pub mod graphs;
+pub mod hbm_comparison;
 pub mod table1;
 pub mod table2;
 pub mod table3;
+pub mod utilization;
 
 pub use context::{ExpConfig, ExpOutput, MapKind, SuiteCache};
 
@@ -54,7 +62,8 @@ pub struct Experiment {
     pub run: fn(&mut SuiteCache) -> ExpOutput,
 }
 
-/// Every experiment, in paper order.
+/// Every experiment: the paper's artifacts in paper order, then the
+/// supporting studies.
 pub fn registry() -> Vec<Experiment> {
     fn no_jobs(_: &ExpConfig) -> Vec<JobSpec> {
         Vec::new()
@@ -126,6 +135,30 @@ pub fn registry() -> Vec<Experiment> {
             title: "Scenario matrix: backend x format x partitioning",
             jobs: formats::jobs,
             run: formats::run,
+        },
+        Experiment {
+            id: "utilization",
+            title: "Figure 8 discussion: component busy fractions",
+            jobs: utilization::jobs,
+            run: utilization::run,
+        },
+        Experiment {
+            id: "bandwidth_table",
+            title: "Section II-C: bandwidth hierarchy",
+            jobs: no_jobs,
+            run: |cache| bandwidth_table::run(&cache.cfg.hw),
+        },
+        Experiment {
+            id: "hbm_comparison",
+            title: "Section VII: HMC-like vs HBM-like realization",
+            jobs: hbm_comparison::jobs,
+            run: hbm_comparison::run,
+        },
+        Experiment {
+            id: "ablations",
+            title: "Design ablations",
+            jobs: ablations::jobs,
+            run: ablations::run,
         },
     ]
 }

@@ -1,20 +1,24 @@
-//! Component-utilization study: where do the cycles go?
+//! Component utilization: where do the cycles go?
 //!
 //! The paper's Figure 8 discussion observes that for the poorly-behaved
 //! matrices "DRAM banks and PEs are idle in most of the cycles" while
-//! interconnect traffic dominates. This harness reports the busy fractions
-//! of the Product-PEs, the matrix banks and the vector banks per Table I
-//! matrix, confirming that claim quantitatively.
-//!
-//! Run: `cargo run --release -p spacea-bench --bin utilization [--scale N]`
+//! interconnect traffic dominates. This table reports the busy fractions of
+//! the Product-PEs, the matrix banks and the vector banks per Table I
+//! matrix, from the same proposed-mapping simulations as Figures 5 and 6.
 
-use spacea_core::experiments::MapKind;
-use spacea_core::table::{pct, Table};
+use super::context::{ExpConfig, ExpOutput, MapKind, SuiteCache};
+use crate::table::{pct, Table};
+use spacea_harness::JobSpec;
+use spacea_matrix::suite;
 
-fn main() {
-    let mut session = spacea_bench::harness();
-    let csv = session.csv;
-    let cache = &mut session.cache;
+/// The jobs this table consumes: the proposed-mapping simulation of every
+/// Table I matrix (shared with fig5/fig6, so no new work).
+pub fn jobs(cfg: &ExpConfig) -> Vec<JobSpec> {
+    suite::entries().iter().map(|e| cfg.sim_job(e.id, MapKind::Proposed)).collect()
+}
+
+/// Regenerates the busy-fraction table.
+pub fn run(cache: &mut SuiteCache) -> ExpOutput {
     let mut table = Table::new(
         "Component busy fractions (proposed mapping)",
         &["ID", "Matrix", "PE busy", "Matrix banks busy", "Vector banks busy", "L1 hit"],
@@ -39,9 +43,5 @@ fn main() {
          (the paper singles out matrices 7, 12, 13 in its Figure 8 discussion)",
         if idle_heavy.is_empty() { "none".to_string() } else { idle_heavy.join(", ") }
     ));
-    if csv {
-        print!("{}", table.to_csv());
-    } else {
-        print!("{}", table.to_text());
-    }
+    ExpOutput { id: "utilization", table, extra_tables: vec![], headline: vec![] }
 }

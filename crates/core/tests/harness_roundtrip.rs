@@ -14,11 +14,11 @@ fn render(cache: &mut SuiteCache) -> String {
 #[test]
 fn registry_ids_are_unique_and_jobs_nonempty() {
     let reg = experiments::registry();
-    assert_eq!(reg.len(), 12);
+    assert_eq!(reg.len(), 16);
     let mut ids: Vec<&str> = reg.iter().map(|e| e.id).collect();
     ids.sort_unstable();
     ids.dedup();
-    assert_eq!(ids.len(), 12, "duplicate experiment ids");
+    assert_eq!(ids.len(), 16, "duplicate experiment ids");
     let jobs = experiments::all_jobs(&ExpConfig::quick());
     assert!(jobs.len() > 100, "full evaluation should enumerate many jobs, got {}", jobs.len());
     // Deduplication is part of the contract: fig5/fig6/fig8 overlap.

@@ -36,7 +36,6 @@
 
 pub mod algorithm1;
 mod assignment;
-pub mod chunked;
 pub mod metrics;
 pub mod naive;
 pub mod placement;
@@ -44,7 +43,6 @@ mod shape;
 
 pub use algorithm1::LocalityMapping;
 pub use assignment::RowAssignment;
-pub use chunked::ChunkedMapping;
 pub use naive::NaiveMapping;
 pub use placement::Placement;
 pub use shape::MachineShape;

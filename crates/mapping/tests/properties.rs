@@ -4,9 +4,7 @@
 
 use proptest::prelude::*;
 use spacea_mapping::placement::{cluster_sets, pe_column_sets};
-use spacea_mapping::{
-    ChunkedMapping, LocalityMapping, MachineShape, MappingStrategy, NaiveMapping,
-};
+use spacea_mapping::{LocalityMapping, MachineShape, MappingStrategy, NaiveMapping};
 use spacea_matrix::{Coo, Csr};
 
 fn sparse_square() -> impl Strategy<Value = Csr> {
@@ -27,8 +25,8 @@ proptest! {
     #[test]
     fn every_strategy_partitions_and_places(a in sparse_square()) {
         let shape = MachineShape::tiny();
-        let strategies: [&dyn MappingStrategy; 3] =
-            [&NaiveMapping::default(), &LocalityMapping::default(), &ChunkedMapping];
+        let strategies: [&dyn MappingStrategy; 2] =
+            [&NaiveMapping::default(), &LocalityMapping::default()];
         for strategy in strategies {
             let m = strategy.map(&a, &shape);
             prop_assert!(m.assignment.validate().is_ok(), "{} partition", strategy.name());
@@ -48,7 +46,7 @@ proptest! {
     fn workload_sums_are_invariant(a in sparse_square()) {
         // Total assigned work equals nnz for every strategy.
         let shape = MachineShape::tiny();
-        for strategy in [&NaiveMapping::default() as &dyn MappingStrategy, &LocalityMapping::default(), &ChunkedMapping] {
+        for strategy in [&NaiveMapping::default() as &dyn MappingStrategy, &LocalityMapping::default()] {
             let m = strategy.map(&a, &shape);
             let total: usize = m.assignment.workloads(|r| a.row_nnz(r)).iter().sum();
             prop_assert_eq!(total, a.nnz(), "{}", strategy.name());

@@ -35,6 +35,16 @@ pub enum MatrixError {
     },
     /// An I/O error while reading or writing a Matrix Market stream.
     Io(String),
+    /// A Matrix Market size line declared more rows or columns than
+    /// [`crate::mmio::MAX_DIM`].
+    TooLarge {
+        /// Declared row count.
+        rows: usize,
+        /// Declared column count.
+        cols: usize,
+        /// The accepted maximum per dimension.
+        max: usize,
+    },
 }
 
 impl fmt::Display for MatrixError {
@@ -51,6 +61,9 @@ impl fmt::Display for MatrixError {
                 write!(f, "matrix market parse error at line {line}: {message}")
             }
             MatrixError::Io(msg) => write!(f, "i/o error: {msg}"),
+            MatrixError::TooLarge { rows, cols, max } => {
+                write!(f, "declared {rows}x{cols} matrix exceeds {max} rows or columns")
+            }
         }
     }
 }

@@ -26,6 +26,14 @@ use std::fs;
 use std::io::Read;
 use std::path::Path;
 
+/// Largest row or column count [`read_str`] accepts: 2,097,152, about
+/// twice the rows of the largest Table I matrix (webbase-1M, 1,000,005).
+///
+/// The size line is untrusted and a CSR allocates `rows + 1` offsets
+/// whatever the entry count, so a 60-byte header declaring 134 million
+/// rows would cost a gigabyte. The check runs before any allocation.
+pub const MAX_DIM: usize = 1 << 21;
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ValueKind {
     Real,
@@ -44,7 +52,8 @@ enum Symmetry {
 /// # Errors
 ///
 /// Returns [`MatrixError::Parse`] on malformed input (bad header, wrong entry
-/// count, out-of-range coordinates).
+/// count, out-of-range coordinates), and [`MatrixError::TooLarge`] when the
+/// size line declares more than [`MAX_DIM`] rows or columns.
 pub fn read_str(text: &str) -> Result<Csr, MatrixError> {
     let mut lines = text.lines().enumerate();
 
@@ -83,8 +92,8 @@ pub fn read_str(text: &str) -> Result<Csr, MatrixError> {
         return Err(parse_err(size_line_no + 1, "size line must be 'rows cols nnz'"));
     }
     let (rows, cols, nnz) = (dims[0], dims[1], dims[2]);
-    if rows > u32::MAX as usize || cols > u32::MAX as usize {
-        return Err(parse_err(size_line_no + 1, "dimensions must fit in 4-byte indices"));
+    if rows > MAX_DIM || cols > MAX_DIM {
+        return Err(MatrixError::TooLarge { rows, cols, max: MAX_DIM });
     }
 
     // The header is untrusted: reserve no more entries than the text can
@@ -243,7 +252,18 @@ mod tests {
             format!("%%MatrixMarket matrix coordinate real symmetric\n2 2 {near_max}\n2 1 1\n");
         assert!(matches!(read_str(&text), Err(MatrixError::Parse { .. })));
         let text = "%%MatrixMarket matrix coordinate real general\n4294967296 1 0\n";
-        assert!(matches!(read_str(text), Err(MatrixError::Parse { .. })));
+        assert!(matches!(read_str(text), Err(MatrixError::TooLarge { .. })));
+        // 60 bytes declaring 134M rows: a CSR would need ~1 GiB of offsets.
+        let text = "%%MatrixMarket matrix coordinate real general\n134217727 1 0\n";
+        assert_eq!(text.len(), 60);
+        let started = std::time::Instant::now();
+        let err = read_str(text).unwrap_err();
+        assert!(started.elapsed() < std::time::Duration::from_secs(1));
+        assert_eq!(err, MatrixError::TooLarge { rows: 134_217_727, cols: 1, max: MAX_DIM });
+        let text = format!("%%MatrixMarket matrix coordinate real general\n1 {} 0\n", MAX_DIM + 1);
+        assert!(matches!(read_str(&text), Err(MatrixError::TooLarge { .. })));
+        let text = format!("%%MatrixMarket matrix coordinate real general\n{MAX_DIM} 1 0\n");
+        assert_eq!(read_str(&text).unwrap().rows(), MAX_DIM, "the cap itself is accepted");
     }
 
     #[test]

@@ -1,13 +1,11 @@
-//! Matrix reordering: reverse Cuthill–McKee (RCM) bandwidth reduction.
+//! Symmetric row/column permutations of a square matrix.
 //!
-//! The SuiteSparse FEM matrices the paper evaluates are stored in
-//! bandwidth-reduced orderings, which is why row order carries locality.
-//! RCM lets this repo study ordering sensitivity: shuffle a matrix to
-//! destroy ordering locality, then recover it — the `ordering` ablation
-//! shows how much of the mapping pipeline's benefit is ordering-dependent.
+//! Relabelling a matrix's rows and columns together yields the same linear
+//! system under different ids: the content hash changes while the structure
+//! does not, which is how a caller produces many distinct uploads of one
+//! matrix.
 
 use crate::{Coo, Csr};
-use std::collections::VecDeque;
 
 /// A row/column permutation: `perm[new_index] = old_index`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -91,72 +89,6 @@ impl Permutation {
     }
 }
 
-/// The half-bandwidth of a matrix: `max |i - j|` over non-zeros.
-pub fn bandwidth(a: &Csr) -> usize {
-    let mut bw = 0usize;
-    for i in 0..a.rows() {
-        for &c in a.row_cols(i) {
-            bw = bw.max((c as i64 - i as i64).unsigned_abs() as usize);
-        }
-    }
-    bw
-}
-
-/// Computes the reverse Cuthill–McKee ordering of the symmetrized structure
-/// of `a`.
-///
-/// Classic BFS-based bandwidth reduction: start from a minimum-degree vertex
-/// of each connected component, visit neighbours in increasing-degree order,
-/// and reverse the final order.
-///
-/// # Panics
-///
-/// Panics if `a` is not square.
-pub fn rcm(a: &Csr) -> Permutation {
-    assert_eq!(a.rows(), a.cols(), "RCM needs a square matrix");
-    let n = a.rows();
-    // Symmetrized adjacency (unweighted, deduped, sorted by degree later).
-    let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for i in 0..n {
-        for &j in a.row_cols(i) {
-            let j = j as usize;
-            if i != j {
-                adj[i].push(j as u32);
-                adj[j].push(i as u32);
-            }
-        }
-    }
-    for l in &mut adj {
-        l.sort_unstable();
-        l.dedup();
-    }
-    let degree = |v: usize| adj[v].len();
-
-    let mut order: Vec<u32> = Vec::with_capacity(n);
-    let mut visited = vec![false; n];
-    let mut queue = VecDeque::new();
-    // Deterministic component starts: lowest-degree unvisited vertex
-    // (scanning ids ascending breaks ties).
-    loop {
-        let start = (0..n).filter(|&v| !visited[v]).min_by_key(|&v| (degree(v), v));
-        let Some(start) = start else { break };
-        visited[start] = true;
-        queue.push_back(start as u32);
-        while let Some(v) = queue.pop_front() {
-            order.push(v);
-            let mut neighbours: Vec<u32> =
-                adj[v as usize].iter().copied().filter(|&u| !visited[u as usize]).collect();
-            neighbours.sort_by_key(|&u| (degree(u as usize), u));
-            for u in neighbours {
-                visited[u as usize] = true;
-                queue.push_back(u);
-            }
-        }
-    }
-    order.reverse();
-    Permutation::new(order)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,61 +128,6 @@ mod tests {
         for (l, r) in lhs.iter().zip(&rhs) {
             assert!((l - r).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn rcm_recovers_banded_structure() {
-        // Shuffle a banded matrix, then RCM it: bandwidth should recover to
-        // near the original.
-        let m = crate::gen::banded(&crate::gen::BandedConfig {
-            n: 256,
-            mean_row_nnz: 8.0,
-            band_factor: 3.0,
-            ..Default::default()
-        });
-        let original_bw = bandwidth(&m);
-        let shuffle = Permutation::new({
-            let mut v: Vec<u32> = (0..256).collect();
-            let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
-            v.shuffle(&mut rng);
-            v
-        });
-        let shuffled = shuffle.apply_symmetric(&m);
-        assert!(bandwidth(&shuffled) > 2 * original_bw, "shuffle must destroy banding");
-        let recovered = rcm(&shuffled).apply_symmetric(&shuffled);
-        assert!(
-            bandwidth(&recovered) < bandwidth(&shuffled) / 2,
-            "RCM must substantially reduce bandwidth: {} -> {}",
-            bandwidth(&shuffled),
-            bandwidth(&recovered)
-        );
-    }
-
-    #[test]
-    fn rcm_is_a_permutation_even_with_isolated_vertices() {
-        // Diagonal-only matrix: every vertex is isolated.
-        let mut coo = Coo::new(5, 5);
-        for i in 0..5 {
-            coo.push(i, i, 1.0).unwrap();
-        }
-        let p = rcm(&coo.to_csr());
-        assert_eq!(p.len(), 5);
-    }
-
-    #[test]
-    fn rcm_deterministic() {
-        let m =
-            crate::gen::rmat(&crate::gen::RmatConfig { n: 128, edges: 500, ..Default::default() });
-        assert_eq!(rcm(&m), rcm(&m));
-    }
-
-    #[test]
-    fn bandwidth_of_diagonal_is_zero() {
-        let mut coo = Coo::new(4, 4);
-        for i in 0..4 {
-            coo.push(i, i, 1.0).unwrap();
-        }
-        assert_eq!(bandwidth(&coo.to_csr()), 0);
     }
 
     #[test]

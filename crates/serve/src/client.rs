@@ -234,7 +234,8 @@ impl Client {
     /// Propagates transport failures and daemon-side rejections
     /// (`bad-request` for unparseable MatrixMarket text), and `too-large`
     /// when the escaped text does not fit one request line
-    /// ([`protocol::MAX_LINE_BYTES`]).
+    /// ([`protocol::MAX_LINE_BYTES`]) or declares more rows or columns
+    /// than [`spacea_matrix::mmio::MAX_DIM`].
     pub fn register_mtx(&mut self, text: &str) -> Result<RegisterReply, CallError> {
         let v = self.call(&Request::RegisterMtx { text: text.to_string() })?;
         register_reply(&v)

@@ -23,6 +23,16 @@
 //! `too-large` error and the connection closes, since the rest of the line
 //! cannot be framed. [`crate::Client`] refuses such a line with the same
 //! code before sending a byte of it.
+//!
+//! # Matrix size
+//!
+//! A `register-mtx` matrix may declare at most
+//! [`spacea_matrix::mmio::MAX_DIM`] (2,097,152) rows and as many columns,
+//! about twice the largest Table I matrix (webbase-1M, 1,000,005 rows).
+//! The reader checks the size line before it allocates anything, since a
+//! CSR holds `rows + 1` offsets however few entries follow: a header past
+//! the cap is answered with `too-large` and the connection serves on. Any
+//! other unparseable text is `bad-request`.
 
 use crate::error::ServeError;
 use spacea_obs::json::Json;
@@ -103,7 +113,8 @@ pub enum Request {
     },
     /// Register a matrix from MatrixMarket text (the file body travels
     /// on the wire with newlines JSON-escaped), so serving is not
-    /// suite-only.
+    /// suite-only. Dimensions past [`spacea_matrix::mmio::MAX_DIM`] are
+    /// `too-large` (see the module docs on matrix size).
     RegisterMtx {
         /// The MatrixMarket file contents.
         text: String,

@@ -217,6 +217,9 @@ fn dispatch(req: Request, service: &Service, stop: &AtomicBool) -> Json {
                     ("nnz", Json::U64(info.nnz as u64)),
                 ])
             }
+            Err(e @ spacea_matrix::MatrixError::TooLarge { .. }) => {
+                protocol::err_code("too-large", &format!("mtx: {e}"))
+            }
             Err(e) => protocol::err_code("bad-request", &format!("mtx: {e}")),
         },
         Request::Compact { retain } => match engine.compact_journal(retain) {

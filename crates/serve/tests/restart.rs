@@ -4,7 +4,8 @@
 //! computations for previously registered matrices. A hostile request
 //! line earns a coded error and leaves the daemon serving, a line that
 //! arrives in pieces is answered whole, a line past `MAX_LINE_BYTES` is
-//! rejected as `too-large`, and sequential round trips on one connection
+//! rejected as `too-large`, as is a MatrixMarket header declaring more
+//! than `mmio::MAX_DIM` rows, and sequential round trips on one connection
 //! do not stall on delayed ACKs.
 
 use spacea_obs::json::{self, Json};
@@ -145,6 +146,28 @@ fn a_line_past_the_length_cap_is_too_large_and_the_daemon_serves_on() {
     assert_eq!(err.code, "too-large", "{err}");
     assert!(err.message.contains("64 MiB"), "the message names the limit: {err}");
     client.ping().unwrap();
+    client.shutdown().unwrap();
+    daemon.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_mtx_header_past_the_dimension_cap_is_too_large_and_the_connection_serves_on() {
+    let dir = tmp_dir("mtx-dims");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let daemon = start_daemon(&dir);
+    let mut client = Client::connect_dir(&dir).unwrap();
+
+    // 60 bytes that would ask for a gigabyte of row offsets.
+    let text = "%%MatrixMarket matrix coordinate real general\n134217727 1 0\n";
+    let started = Instant::now();
+    let err = client.register_mtx(text).unwrap_err();
+    assert!(started.elapsed() < Duration::from_secs(1), "took {:?}", started.elapsed());
+    assert_eq!(err.code, "too-large", "{err}");
+    assert!(err.message.contains(&spacea_matrix::mmio::MAX_DIM.to_string()), "{err}");
+    client.ping().unwrap();
+
     client.shutdown().unwrap();
     daemon.join().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
