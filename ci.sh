@@ -12,6 +12,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 # fails here rather than in the next benchmark run.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
 
+# The 448-PE pins: the exact-match snapshots below (semantics, serve, engine)
+# all simulate the 16-PE --quick machine. One short sweep-cold run pins
+# per-job cycles and output hashes on HwConfig::scaled(), exiting non-zero on
+# any difference from perfbench/pins/sweep-cold.txt.
+cargo run --release --offline --manifest-path perfbench/Cargo.toml --target-dir target/perfbench -- \
+  --workload sweep-cold --seconds 0 --trace 0
+
 # Static analysis: the workspace must be clean modulo the committed baseline,
 # and the baseline itself may only shrink (the ratchet). The second check is
 # skipped on the first commit that introduces the baseline.

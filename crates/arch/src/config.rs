@@ -82,26 +82,34 @@ impl HwConfig {
     }
 
     /// SpaceA itself realized on HBM stacks (paper Section VII, "HMC vs.
-    /// HBM") — not the Serpens-style streaming accelerator that the
-    /// scenario backends call `hbm`.
+    /// HBM") at the 2-stack scale: [`HwConfig::scaled`] on HBM (see
+    /// [`HwConfig::on_hbm`]), 4 stacks × 8 channels × 7 bank pairs = 448
+    /// PEs. Not the Serpens-style streaming accelerator that the scenario
+    /// backends call `hbm`.
+    pub fn spacea_on_hbm() -> Self {
+        Self::scaled().on_hbm()
+    }
+
+    /// This machine realized on HBM stacks under an equivalent
+    /// configuration: the same Product-PE count and everything else equal
+    /// but the memory organization.
     ///
     /// HBM groups banks horizontally into channels instead of vertically
     /// into vaults, but both give low-latency TSVs among the banks sharing a
-    /// channel. Under an equivalent configuration — same bank count, same
-    /// per-bank interface, same per-channel TSV bandwidth — the paper argues
-    /// SpaceA behaves the same; this preset encodes that equivalence on the
-    /// 2-stack scale (4 stacks × 8 channels × 7 bank pairs = 448 PEs, the
-    /// same as [`HwConfig::scaled`]) with HBM's pseudo-channel timing: a
-    /// slightly longer TSV transfer and a wider per-channel interface.
-    pub fn spacea_on_hbm() -> Self {
-        let mut cfg = Self::with_shape(MachineShape {
-            cubes: 4,           // stacks
-            vaults_per_cube: 8, // channels per stack
-            product_bgs_per_vault: 7,
-            banks_per_bg: 2,
-        });
-        cfg.tsv_latency = 3; // longer channel wiring
-        cfg.tsv_bytes_per_cycle = 32; // 256 GB/s per stack over 8 channels
+    /// channel. The paper argues SpaceA behaves the same on either; this
+    /// encodes the equivalence as twice the cubes as stacks with half the
+    /// vaults as channels (same bank count, same per-bank interface), each
+    /// channel twice as wide, and HBM's pseudo-channel timing: a TSV
+    /// transfer one cycle longer. A shape with an odd vault count keeps its
+    /// cube and vault counts.
+    pub fn on_hbm(&self) -> Self {
+        let mut cfg = self.clone();
+        if cfg.shape.vaults_per_cube.is_multiple_of(2) {
+            cfg.shape.cubes *= 2; // stacks
+            cfg.shape.vaults_per_cube /= 2; // channels per stack
+        }
+        cfg.tsv_latency += 1; // longer channel wiring
+        cfg.tsv_bytes_per_cycle *= 2; // one channel spans two vaults' banks
         cfg
     }
 
@@ -291,12 +299,34 @@ mod tests {
     fn spacea_on_hbm_matches_scaled_pe_count() {
         let hbm = HwConfig::spacea_on_hbm();
         assert_eq!(hbm.shape.product_pes(), HwConfig::scaled().shape.product_pes());
+        assert_eq!((hbm.shape.cubes, hbm.shape.vaults_per_cube), (4, 8));
+        assert_eq!((hbm.tsv_latency, hbm.tsv_bytes_per_cycle), (3, 32));
         // Same aggregate channel bandwidth per stack: 8 ch x 32 B/cy = 16
         // vaults x 16 B/cy.
         assert_eq!(
             hbm.shape.vaults_per_cube * hbm.tsv_bytes_per_cycle,
             16 * HwConfig::scaled().tsv_bytes_per_cycle
         );
+    }
+
+    #[test]
+    fn on_hbm_keeps_the_pe_count_of_every_shape() {
+        for hmc in [
+            HwConfig::tiny(),
+            HwConfig::scaled(),
+            HwConfig::paper(),
+            HwConfig::scaled().with_cubes(4),
+        ] {
+            let hbm = hmc.on_hbm();
+            assert_eq!(hbm.shape.product_pes(), hmc.shape.product_pes(), "{:?}", hmc.shape);
+            assert_eq!(hbm.shape.cubes, 2 * hmc.shape.cubes);
+            assert_eq!(hbm.l1_cam, hmc.l1_cam, "only the memory organization changes");
+            assert!(hbm.validate().is_ok());
+        }
+        // An odd vault count cannot halve: the shape is kept.
+        let mut odd = HwConfig::tiny();
+        odd.shape.vaults_per_cube = 3;
+        assert_eq!(odd.on_hbm().shape, odd.shape);
     }
 
     #[test]

@@ -32,7 +32,7 @@ use crate::accum::{UpdateBuffer, UpdateOutcome};
 use crate::config::HwConfig;
 use crate::layout::{DataLayout, SlotId};
 use crate::packet::{size, Requester};
-use crate::pe::{pack_rows, PeEntry, ProductPe};
+use crate::pe::{pack_rows, LoadedRow, ProductPe};
 use crate::report::{SimReport, SpmmReport};
 use crate::trace::{TraceEvent, TraceRecord};
 use spacea_mapping::Mapping;
@@ -439,11 +439,12 @@ fn trace_event(ev: &Ev) -> TraceEvent {
     }
 }
 
-/// A PE-queue entry parked in an L1 load queue.
+/// A PE-queue entry parked in an L1 load queue: the PE and the DRAM row
+/// the entry came from (all that compute needs once X arrives).
 #[derive(Debug, Clone, Copy)]
 struct PeWaiter {
     pe: u32,
-    entry: PeEntry,
+    row_id: u32,
 }
 
 struct Sim<'a> {
@@ -994,16 +995,11 @@ impl<'a> Sim<'a> {
     }
 
     fn row_loaded(&mut self, pe: u32, row_id: u32, t: Cycle) {
-        let p = pe as usize;
-        let r = row_id as usize;
-        let state = &mut self.pes[p];
-        let matrix_row = state.dram_rows[r].matrix_row;
-        let n = state.dram_rows[r].entries.len();
-        state.queue.push_back(crate::pe::LoadedRow { id: row_id, remaining: n });
-        for i in 0..n {
-            let (col, val) = state.dram_rows[r].entries[i];
-            state.fresh.push_back(PeEntry { row_id, matrix_row, col, val });
-        }
+        let state = &mut self.pes[pe as usize];
+        let n = state.dram_rows[row_id as usize].cols.len();
+        state.queue.push_back(LoadedRow { id: row_id, remaining: n });
+        // The row's entries become scannable in place: arrival moves the
+        // end of the loaded prefix past them.
         state.load_in_flight = false;
         self.queue_sram.writes += n as u64;
         self.try_load(pe, t);
@@ -1023,24 +1019,24 @@ impl<'a> Sim<'a> {
         let p = pe as usize;
         self.pes[p].step_scheduled = false;
 
-        if let Some(entry) = self.pes[p].ready.pop_front() {
+        if let Some(row_id) = self.pes[p].ready.pop_front() {
             self.pes[p].steps += 1;
             // A response satisfied this entry earlier; compute now.
-            self.compute(pe, entry, t);
-        } else if let Some(entry) = self.pes[p].fresh.pop_front() {
+            self.compute(pe, row_id, t);
+        } else if let Some((row_id, col)) = self.pes[p].next_fresh() {
             self.pes[p].steps += 1;
             self.queue_sram.reads += 1;
-            let block = self.layout.block_of_element(entry.col as usize);
+            let block = self.layout.block_of_element(col as usize);
             let bg = self.pe_slots[p].global_bank_group(self.cfg);
             if self.prod_l1[bg].lookup(block).is_some() {
                 // Case II: X_j ready via the L1 CAM (one RF write per
                 // vector in the batch).
                 self.rf.writes += self.k();
-                self.compute(pe, entry, t);
+                self.compute(pe, row_id, t);
             } else {
                 // Case I: X_j not ready — non-blocking remote request.
                 self.pes[p].pending += 1;
-                let push = self.l1_ldq[bg].push_forced_at(block, PeWaiter { pe, entry }, t);
+                let push = self.l1_ldq[bg].push_forced_at(block, PeWaiter { pe, row_id }, t);
                 if push == LdqPush::NewRequest || !self.cfg.ldq_dedup {
                     let vault = self.pe_slots[p].global_vault(self.cfg);
                     let t_req =
@@ -1074,12 +1070,15 @@ impl<'a> Sim<'a> {
     /// order is fixed regardless of when each X response arrived. This makes
     /// the output bitwise-identical to [`Csr::spmv`] and independent of
     /// batch composition.
-    fn compute(&mut self, pe: u32, entry: PeEntry, t: Cycle) {
+    fn compute(&mut self, pe: u32, row_id: u32, t: Cycle) {
         let p = pe as usize;
         self.fpu_ops += self.k();
         self.rf.reads += self.k();
 
-        let flush = match self.pes[p].row_remaining_mut(entry.matrix_row) {
+        let state = &mut self.pes[p];
+        let spec = &state.dram_rows[row_id as usize];
+        let matrix_row = spec.matrix_row;
+        let flush = match state.row_remaining.get_mut(spec.row_ix as usize) {
             Some(remaining) => {
                 *remaining -= 1;
                 *remaining == 0
@@ -1090,7 +1089,7 @@ impl<'a> Sim<'a> {
             }
         };
 
-        let popped = self.pes[p].complete_entry(entry.row_id);
+        let popped = self.pes[p].complete_entry(row_id);
         debug_assert!(popped.is_some(), "completed entry's row must be resident");
         let popped = popped.unwrap_or(0);
         self.entries_left -= 1;
@@ -1099,7 +1098,7 @@ impl<'a> Sim<'a> {
         }
 
         if flush {
-            let row = entry.matrix_row as usize;
+            let row = matrix_row as usize;
             let base = row * self.xs.len();
             // Canonical reduction, exactly the oracle's loop shape.
             for (v, x) in self.xs.iter().enumerate() {
@@ -1110,7 +1109,7 @@ impl<'a> Sim<'a> {
                 self.y_stash[base + v] = acc;
             }
             self.y_ready[row] = true;
-            self.flush_y(pe, entry.matrix_row, t + self.cfg.fpu_latency);
+            self.flush_y(pe, matrix_row, t + self.cfg.fpu_latency);
         }
     }
 
@@ -1215,11 +1214,11 @@ impl<'a> Sim<'a> {
         let k = self.k();
         let mut woken = std::mem::take(&mut self.l1_woken);
         self.l1_ldq[g].complete_into(block, &mut woken);
-        for &PeWaiter { pe, entry } in &woken {
+        for &PeWaiter { pe, row_id } in &woken {
             self.rf.writes += k;
             let state = &mut self.pes[pe as usize];
             state.pending -= 1;
-            state.ready.push_back(entry);
+            state.ready.push_back(row_id);
             self.wake(pe, t);
         }
         woken.clear();

@@ -6,19 +6,36 @@
 //! L1 CAM, issues non-blocking remote requests on misses, and accumulates
 //! partial `Y_i` results that are flushed when a matrix row completes.
 //!
+//! The PE queue is read in place. Loaded DRAM rows are a prefix of the PE's
+//! packed row list, so the entries loaded but not yet scanned are exactly
+//! those between a scan cursor and the end of the last arrived row: the
+//! control unit reads them where they lie instead of copying them into a
+//! staging queue. Everything downstream of the scan — response-satisfied
+//! entries and L1 load-queue waiters — names an entry by its DRAM row id
+//! alone, because the row carries everything compute needs (its matrix row
+//! and that row's slot in the remaining-count table).
+//!
 //! These structures are passive: the event handlers in
 //! [`machine`](crate::machine) drive them.
 
 use std::collections::VecDeque;
 
-/// One packed matrix DRAM row: a row-index header plus `(col, value)` pairs
-/// of a single matrix row (Section III-B's alignment rule).
-#[derive(Debug, Clone, PartialEq)]
+/// One packed matrix DRAM row: a row-index header plus the column indices
+/// of up to `nnz_per_dram_row` non-zeros of a single matrix row (Section
+/// III-B's alignment rule).
+///
+/// The non-zero values are not carried: the simulator models when each
+/// multiply happens, and the output is reduced from the CSR in canonical
+/// order when a matrix row completes.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DramRowSpec {
     /// The matrix row index all entries in this DRAM row belong to.
     pub matrix_row: u32,
-    /// The packed `(column, value)` pairs (at most `nnz_per_dram_row`).
-    pub entries: Vec<(u32, f64)>,
+    /// Position of `matrix_row` among the PE's non-empty rows in packing
+    /// order: its slot in [`ProductPe::row_remaining`].
+    pub row_ix: u32,
+    /// The packed column indices (at most `nnz_per_dram_row`, never empty).
+    pub cols: Vec<u32>,
 }
 
 /// Packs the CSR rows assigned to one PE into DRAM rows.
@@ -33,26 +50,18 @@ pub fn pack_rows(
 ) -> Vec<DramRowSpec> {
     assert!(nnz_per_dram_row > 0, "DRAM row must hold at least one non-zero");
     let mut out = Vec::new();
+    let mut row_ix = 0;
     for &r in assigned_rows {
-        let entries: Vec<(u32, f64)> = csr.row(r as usize).collect();
-        for chunk in entries.chunks(nnz_per_dram_row) {
-            out.push(DramRowSpec { matrix_row: r, entries: chunk.to_vec() });
+        let cols = csr.row_cols(r as usize);
+        if cols.is_empty() {
+            continue;
         }
+        for chunk in cols.chunks(nnz_per_dram_row) {
+            out.push(DramRowSpec { matrix_row: r, row_ix, cols: chunk.to_vec() });
+        }
+        row_ix += 1;
     }
     out
-}
-
-/// An entry travelling through the PE pipeline.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PeEntry {
-    /// Id of the loaded DRAM row this entry came from.
-    pub row_id: u32,
-    /// Matrix row index.
-    pub matrix_row: u32,
-    /// Column index (selects `X_col`).
-    pub col: u32,
-    /// The non-zero value `A_ij`.
-    pub val: f64,
 }
 
 /// A DRAM row resident in the PE queue.
@@ -67,7 +76,7 @@ pub struct LoadedRow {
 /// Full state of one Product-PE.
 #[derive(Debug, Clone, Default)]
 pub struct ProductPe {
-    /// Packed DRAM rows to stream, in order.
+    /// Packed DRAM rows to stream, in order; a row's id is its index here.
     pub dram_rows: Vec<DramRowSpec>,
     /// Next DRAM row index to load.
     pub next_load: usize,
@@ -76,22 +85,22 @@ pub struct ProductPe {
     /// Rows resident in the PE queue (front pops first, paper's cyclic
     /// queue at DRAM-row granularity).
     pub queue: VecDeque<LoadedRow>,
-    /// Entries loaded but not yet scanned.
-    pub fresh: VecDeque<PeEntry>,
-    /// Entries whose X value arrived (response-satisfied).
-    pub ready: VecDeque<PeEntry>,
+    /// Scan cursor: the next unscanned entry is
+    /// `dram_rows[scan_row].cols[scan_col]`. Every entry before it has been
+    /// scanned; it never passes the last arrived row.
+    pub scan_row: usize,
+    /// Column position of the scan cursor within `dram_rows[scan_row]`.
+    pub scan_col: usize,
+    /// DRAM row ids of entries whose X value arrived (response-satisfied),
+    /// in arrival order.
+    pub ready: VecDeque<u32>,
     /// Entries waiting on an outstanding X request.
     pub pending: usize,
-    /// Matrix-row ids this PE owns (non-empty rows only), sorted for
-    /// binary search, parallel to `row_remaining`. Built once at
-    /// construction so the hot compute path indexes a dense table instead
-    /// of growing a tree.
-    pub row_ids: Vec<u32>,
-    /// Non-zeros of each owned matrix row not yet multiplied, parallel to
-    /// `row_ids`. A whole matrix row belongs to exactly one PE, so when a
-    /// count reaches zero the machine flushes that row's dot product,
-    /// computed in canonical CSR entry order — which makes the result
-    /// independent of the arrival order of X responses and
+    /// Non-zeros of each owned matrix row not yet multiplied, indexed by
+    /// [`DramRowSpec::row_ix`]. A whole matrix row belongs to exactly one
+    /// PE, so when a count reaches zero the machine flushes that row's dot
+    /// product, computed in canonical CSR entry order — which makes the
+    /// result independent of the arrival order of X responses and
     /// bitwise-identical to the software oracle.
     pub row_remaining: Vec<usize>,
     /// Whether a `PeStep` event is scheduled.
@@ -106,36 +115,53 @@ pub struct ProductPe {
 impl ProductPe {
     /// Creates a PE with its packed work list.
     pub fn new(dram_rows: Vec<DramRowSpec>) -> Self {
-        // DRAM rows of one matrix row are consecutive (`pack_rows` packs
-        // each assigned row before moving on), so one pass accumulates the
-        // per-row non-zero totals; sorting then enables binary search.
-        let mut table: Vec<(u32, usize)> = Vec::new();
+        // `pack_rows` numbers rows in packing order, so each row's total
+        // lands in the next table slot or the current one.
+        let mut row_remaining: Vec<usize> = Vec::new();
         for spec in &dram_rows {
-            match table.last_mut() {
-                Some((row, n)) if *row == spec.matrix_row => *n += spec.entries.len(),
-                _ => table.push((spec.matrix_row, spec.entries.len())),
+            let ix = spec.row_ix as usize;
+            if ix == row_remaining.len() {
+                row_remaining.push(0);
             }
+            row_remaining[ix] += spec.cols.len();
         }
-        table.sort_unstable_by_key(|&(row, _)| row);
-        let (row_ids, row_remaining) = table.into_iter().unzip();
-        ProductPe { dram_rows, row_ids, row_remaining, ..Default::default() }
-    }
-
-    /// Mutable remaining-count slot for `matrix_row`, or `None` when this
-    /// PE does not own the row.
-    pub fn row_remaining_mut(&mut self, matrix_row: u32) -> Option<&mut usize> {
-        let ix = self.row_ids.binary_search(&matrix_row).ok()?;
-        self.row_remaining.get_mut(ix)
+        ProductPe { dram_rows, row_remaining, ..Default::default() }
     }
 
     /// Total non-zeros this PE must process.
     pub fn total_nnz(&self) -> usize {
-        self.dram_rows.iter().map(|r| r.entries.len()).sum()
+        self.dram_rows.iter().map(|r| r.cols.len()).sum()
+    }
+
+    /// Whether a loaded entry is still waiting for its first scan. Row ids
+    /// are handed out in order with at most one load in flight, so the rows
+    /// that have arrived are the prefix before `next_load`, less the one in
+    /// flight.
+    fn has_fresh(&self) -> bool {
+        self.scan_row < self.next_load - usize::from(self.load_in_flight)
+    }
+
+    /// Takes the entry under the scan cursor, returning its DRAM row id and
+    /// column, and moves the cursor on (across a row boundary when the row
+    /// is used up). `None` when every loaded entry has been scanned.
+    pub fn next_fresh(&mut self) -> Option<(u32, u32)> {
+        if !self.has_fresh() {
+            return None;
+        }
+        let row_id = self.scan_row as u32;
+        let cols = &self.dram_rows[self.scan_row].cols;
+        let col = cols[self.scan_col];
+        self.scan_col += 1;
+        if self.scan_col == cols.len() {
+            self.scan_row += 1;
+            self.scan_col = 0;
+        }
+        Some((row_id, col))
     }
 
     /// Whether the PE has scan work available right now.
     pub fn has_work(&self) -> bool {
-        !self.fresh.is_empty() || !self.ready.is_empty()
+        self.has_fresh() || !self.ready.is_empty()
     }
 
     /// Whether everything is processed and streamed.
@@ -143,7 +169,7 @@ impl ProductPe {
         self.next_load >= self.dram_rows.len()
             && !self.load_in_flight
             && self.queue.is_empty()
-            && self.fresh.is_empty()
+            && !self.has_fresh()
             && self.ready.is_empty()
             && self.pending == 0
     }
@@ -188,10 +214,13 @@ mod tests {
         // row 0 (3 nnz) → 2 DRAM rows; row 2 (2 nnz) → 1 DRAM row.
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[0].matrix_row, 0);
-        assert_eq!(rows[0].entries.len(), 2);
+        assert_eq!(rows[0].cols.len(), 2);
         assert_eq!(rows[1].matrix_row, 0);
-        assert_eq!(rows[1].entries.len(), 1);
+        assert_eq!(rows[1].cols.len(), 1);
         assert_eq!(rows[2].matrix_row, 2);
+        // Both DRAM rows of matrix row 0 share its table slot.
+        let ixs: Vec<u32> = rows.iter().map(|r| r.row_ix).collect();
+        assert_eq!(ixs, vec![0, 0, 1]);
     }
 
     #[test]
@@ -201,15 +230,43 @@ mod tests {
     }
 
     #[test]
-    fn pack_preserves_values() {
+    fn pack_preserves_columns() {
         let rows = pack_rows(&csr(), &[2], 4);
-        assert_eq!(rows[0].entries, vec![(3, 1.0), (4, 1.0)]);
+        assert_eq!(rows[0].cols, vec![3, 4]);
     }
 
     #[test]
     fn total_nnz_sums_entries() {
         let pe = ProductPe::new(pack_rows(&csr(), &[0, 2], 2));
         assert_eq!(pe.total_nnz(), 5);
+    }
+
+    #[test]
+    fn scan_cursor_crosses_rows_in_packing_order() {
+        // DRAM rows: [0, 1] and [2] of matrix row 0, then [3, 4] of row 2.
+        let mut pe = ProductPe::new(pack_rows(&csr(), &[0, 2], 2));
+        assert_eq!(pe.row_remaining, vec![3, 2]);
+        assert!(!pe.has_work() && !pe.finished(), "nothing loaded yet");
+        pe.next_load = 1;
+        pe.load_in_flight = true;
+        assert!(!pe.has_work(), "a row still in flight is not scannable");
+        assert_eq!(pe.next_fresh(), None);
+        pe.load_in_flight = false;
+        assert!(pe.has_work());
+        assert_eq!(pe.next_fresh(), Some((0, 0)));
+        assert_eq!(pe.next_fresh(), Some((0, 1)));
+        assert!(!pe.has_work(), "row 0 is scanned and row 1 has not arrived");
+        pe.next_load = 3;
+        let rest: Vec<(u32, u32)> = std::iter::from_fn(|| pe.next_fresh()).collect();
+        assert_eq!(rest, vec![(1, 2), (2, 3), (2, 4)]);
+        assert!(!pe.has_work());
+        // Response-satisfied entries are work too, and hold off `finished`.
+        pe.ready.push_back(2);
+        assert!(pe.has_work() && !pe.finished());
+        pe.ready.pop_front();
+        assert!(pe.finished());
+        pe.pending = 1;
+        assert!(!pe.has_work() && !pe.finished());
     }
 
     #[test]

@@ -1,18 +1,19 @@
 //! Section VII check: SpaceA realized on HBM-like stacks vs the HMC-like
-//! default, under an equivalent configuration (same PE count, same aggregate
-//! channel bandwidth). The paper claims "similar performance and power";
-//! this table quantifies the similarity over the Table I suite.
+//! machine under test, under an equivalent configuration
+//! ([`spacea_arch::HwConfig::on_hbm`]: same PE count, the memory organization changed).
+//! The paper claims "similar performance and power"; this table quantifies
+//! the similarity over the Table I suite.
 
 use super::context::{ExpConfig, ExpOutput, MapKind, SuiteCache};
 use crate::table::{fmt, geo_mean, Table};
-use spacea_arch::HwConfig;
 use spacea_harness::JobSpec;
 use spacea_matrix::suite;
 
-/// The jobs this table consumes: every matrix on the default (HMC-like)
-/// machine and on [`HwConfig::spacea_on_hbm`], proposed mapping.
+/// The jobs this table consumes: every matrix on the configured (HMC-like)
+/// machine and on its HBM realization, proposed mapping. At the default
+/// scale that is [`spacea_arch::HwConfig::spacea_on_hbm`].
 pub fn jobs(cfg: &ExpConfig) -> Vec<JobSpec> {
-    let hbm = HwConfig::spacea_on_hbm();
+    let hbm = cfg.hw.on_hbm();
     suite::entries()
         .iter()
         .flat_map(|e| {
@@ -23,7 +24,7 @@ pub fn jobs(cfg: &ExpConfig) -> Vec<JobSpec> {
 
 /// Regenerates the per-matrix HBM/HMC cycle ratios and their geo-mean.
 pub fn run(cache: &mut SuiteCache) -> ExpOutput {
-    let hbm = HwConfig::spacea_on_hbm();
+    let hbm = cache.cfg.hw.on_hbm();
     let mut table = Table::new(
         "Section VII: HMC-like vs HBM-like realization (equivalent configuration)",
         &["ID", "Matrix", "HMC cycles", "HBM cycles", "HBM/HMC"],
@@ -71,5 +72,21 @@ mod tests {
         let mean: f64 = last[4].parse().unwrap();
         assert!(mean > 0.0);
         assert_eq!(out.headline[0].1, 1.0);
+    }
+
+    #[test]
+    fn the_hbm_machine_follows_the_shape_under_test() {
+        for cfg in [ExpConfig::quick(), ExpConfig::default(), ExpConfig::default().with_cubes(4)] {
+            let pes: Vec<usize> = jobs(&cfg)
+                .iter()
+                .filter_map(|j| match j {
+                    JobSpec::Sim { hw, .. } => Some(hw.shape.product_pes()),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(pes.len(), 2 * suite::entries().len());
+            assert!(pes.iter().all(|&n| n == cfg.hw.shape.product_pes()), "{pes:?}");
+        }
+        assert_eq!(ExpConfig::default().hw.on_hbm(), spacea_arch::HwConfig::spacea_on_hbm());
     }
 }

@@ -14,7 +14,6 @@
 
 use crate::{MachineShape, RowAssignment};
 use spacea_matrix::Csr;
-use std::collections::BTreeSet;
 
 /// Phase II output: which logical PE occupies each physical PE slot.
 ///
@@ -103,27 +102,50 @@ pub fn cluster_sets(sets: &[Vec<u32>], q: usize, k: usize) -> Vec<Vec<u32>> {
     order.sort_by_key(|&i| std::cmp::Reverse((sets[i as usize].len(), std::cmp::Reverse(i))));
 
     let mut groups: Vec<Vec<u32>> = vec![Vec::new(); q];
-    let mut unions: Vec<BTreeSet<u32>> = vec![BTreeSet::new(); q];
+    // Each group's union is kept as a size plus an inverted index: for
+    // every column, the groups whose union holds it. The index is one flat
+    // table; column `c`'s list is `holders[start[c]..end[c]]`, sized by how
+    // many sets contain `c` (a bound on how many groups can).
+    let mut union_len = vec![0usize; q];
+    let cols = sets.iter().flatten().map(|&c| c as usize + 1).max().unwrap_or(0);
+    let mut start = vec![0usize; cols + 1];
+    for &c in sets.iter().flatten() {
+        start[c as usize + 1] += 1;
+    }
+    for c in 0..cols {
+        start[c + 1] += start[c];
+    }
+    let mut end = start[..cols].to_vec();
+    let mut holders = vec![0u32; start[cols]];
+    let mut overlap = vec![0usize; q];
 
     for &item in &order {
         let s = &sets[item as usize];
+        // |s ∩ union(g)| for every group at once, counting each occurrence
+        // in `s` (as a membership probe per element would).
+        overlap.fill(0);
+        for &c in s {
+            for &g in &holders[start[c as usize]..end[c as usize]] {
+                overlap[g as usize] += 1;
+            }
+        }
         let mut best_g = usize::MAX;
         let mut best_key = (f64::NEG_INFINITY, usize::MAX); // (score, -union pref via cmp)
         for g in 0..q {
             if groups[g].len() >= k {
                 continue;
             }
-            let overlap = s.iter().filter(|c| unions[g].contains(c)).count();
+            let overlap = overlap[g];
             // Any positive overlap beats every no-overlap candidate;
             // among no-overlap groups, prefer the emptiest union.
             let score = if overlap > 0 {
                 overlap as f64 / s.len() as f64
             } else {
-                1e-6 / (1.0 + unions[g].len() as f64)
+                1e-6 / (1.0 + union_len[g] as f64)
             };
             // Higher score wins; ties prefer the smaller union (balances the
             // max-unique objective), then the lower group id (determinism).
-            let key = (score, usize::MAX - unions[g].len());
+            let key = (score, usize::MAX - union_len[g]);
             if key > best_key {
                 best_key = key;
                 best_g = g;
@@ -131,7 +153,14 @@ pub fn cluster_sets(sets: &[Vec<u32>], q: usize, k: usize) -> Vec<Vec<u32>> {
         }
         debug_assert!(best_g != usize::MAX, "there is always a non-full group");
         groups[best_g].push(item);
-        unions[best_g].extend(s.iter().copied());
+        for &c in s {
+            let c = c as usize;
+            if !holders[start[c]..end[c]].contains(&(best_g as u32)) {
+                holders[end[c]] = best_g as u32;
+                end[c] += 1;
+                union_len[best_g] += 1;
+            }
+        }
     }
     groups
 }

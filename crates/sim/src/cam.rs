@@ -10,6 +10,10 @@
 //! double-precision elements of the input vector — so the CAM caches
 //! *blocks* of `X`, and spatial locality across neighbouring column indices
 //! turns into CAM hits.
+//!
+//! Each way is stored as one `{key, stamp, value}` record, set-major, so a
+//! lookup or a fill reads the records of one set and nothing else (see
+//! [`Cam`]).
 
 use crate::stats::CamCounters;
 
@@ -50,12 +54,14 @@ impl CamConfig {
 ///
 /// Keys are block indices (`u64`); values are the cached block payloads.
 ///
-/// The ways live in three flat, set-major arrays (`keys`, `stamps`,
-/// `values`): way `w` of set `s` sits at index `s * ways + w`, so a CAM is
-/// three allocations whatever its geometry. A way's stamp is the tick of its
-/// last use; ticks start at 1, so a zero stamp marks an empty way. Ways fill
-/// in index order and are never emptied one by one (only [`Cam::clear`]
-/// empties them), so the occupied ways of a set are always a prefix.
+/// The ways live in one flat, set-major array of `{key, stamp, value}`
+/// records: way `w` of set `s` sits at index `s * ways + w`, so a CAM is one
+/// allocation whatever its geometry, and a lookup reads one contiguous run
+/// of records — a 4-way set of `()` payloads is 64 bytes, one cache line's
+/// worth. A way's stamp is the tick of its last use; ticks start at 1, so a
+/// zero stamp marks an empty way. Ways fill in index order and are never
+/// emptied one by one (only [`Cam::clear`] empties them), so the occupied
+/// ways of a set are always a prefix.
 ///
 /// # Example
 ///
@@ -70,12 +76,18 @@ impl CamConfig {
 #[derive(Debug, Clone)]
 pub struct Cam<V> {
     config: CamConfig,
-    keys: Vec<u64>,
-    /// Monotone last-use tick per way (LRU order); 0 = empty way.
-    stamps: Vec<u64>,
-    values: Vec<V>,
+    ways: Vec<Way<V>>,
     tick: u64,
     counters: CamCounters,
+}
+
+/// One CAM way: its key, its last-use tick (LRU order; 0 = empty way) and
+/// its cached payload.
+#[derive(Debug, Clone, Copy, Default)]
+struct Way<V> {
+    key: u64,
+    stamp: u64,
+    value: V,
 }
 
 impl<V: Copy + Default> Cam<V> {
@@ -87,12 +99,9 @@ impl<V: Copy + Default> Cam<V> {
     pub fn new(config: CamConfig) -> Self {
         assert!(config.sets > 0, "CAM needs at least one set");
         assert!(config.ways > 0, "CAM needs at least one way");
-        let n = config.sets * config.ways;
         Cam {
             config,
-            keys: vec![0; n],
-            stamps: vec![0; n],
-            values: vec![V::default(); n],
+            ways: vec![Way::default(); config.sets * config.ways],
             tick: 0,
             counters: CamCounters::default(),
         }
@@ -108,7 +117,7 @@ impl<V: Copy + Default> Cam<V> {
         &self.counters
     }
 
-    /// The index range of `key`'s set in the flat way arrays.
+    /// The index range of `key`'s set in the flat way array.
     fn set_range(&self, key: u64) -> std::ops::Range<usize> {
         let base = (key % self.config.sets as u64) as usize * self.config.ways;
         base..base + self.config.ways
@@ -116,7 +125,7 @@ impl<V: Copy + Default> Cam<V> {
 
     /// The flat index of the resident way holding `key`, if any.
     fn find(&self, key: u64) -> Option<usize> {
-        self.set_range(key).find(|&i| self.stamps[i] != 0 && self.keys[i] == key)
+        self.set_range(key).find(|&i| self.ways[i].stamp != 0 && self.ways[i].key == key)
     }
 
     /// Searches for `key`, updating LRU state and hit/miss counters.
@@ -124,9 +133,9 @@ impl<V: Copy + Default> Cam<V> {
         self.tick += 1;
         match self.find(key) {
             Some(i) => {
-                self.stamps[i] = self.tick;
+                self.ways[i].stamp = self.tick;
                 self.counters.hits += 1;
-                Some(self.values[i])
+                Some(self.ways[i].value)
             }
             None => {
                 self.counters.misses += 1;
@@ -138,7 +147,7 @@ impl<V: Copy + Default> Cam<V> {
     /// Searches for `key` without disturbing LRU order or counters (used by
     /// tests and by response paths that only need presence information).
     pub fn peek(&self, key: u64) -> Option<&V> {
-        self.find(key).map(|i| &self.values[i])
+        self.find(key).map(|i| &self.ways[i].value)
     }
 
     /// Inserts or refreshes `key`, evicting the LRU way if the set is full.
@@ -154,38 +163,38 @@ impl<V: Copy + Default> Cam<V> {
         // resident stamps are distinct ticks, so the LRU victim is unique.
         let mut victim = range.start;
         for i in range {
-            if self.stamps[i] != 0 && self.keys[i] == key {
-                self.values[i] = value;
-                self.stamps[i] = self.tick;
+            let way = &self.ways[i];
+            if way.stamp != 0 && way.key == key {
+                self.ways[i] = Way { key, stamp: self.tick, value };
                 return None;
             }
-            if self.stamps[i] < self.stamps[victim] {
+            if way.stamp < self.ways[victim].stamp {
                 victim = i;
             }
         }
-        let evicted = (self.stamps[victim] != 0).then(|| (self.keys[victim], self.values[victim]));
+        let old = std::mem::replace(&mut self.ways[victim], Way { key, stamp: self.tick, value });
+        let evicted = (old.stamp != 0).then_some((old.key, old.value));
         if evicted.is_some() {
             self.counters.evictions += 1;
         }
-        self.keys[victim] = key;
-        self.values[victim] = value;
-        self.stamps[victim] = self.tick;
         evicted
     }
 
     /// Removes every entry but keeps the counters.
     pub fn clear(&mut self) {
-        self.stamps.fill(0);
+        for way in &mut self.ways {
+            way.stamp = 0;
+        }
     }
 
     /// Number of currently resident entries.
     pub fn len(&self) -> usize {
-        self.stamps.iter().filter(|&&s| s != 0).count()
+        self.ways.iter().filter(|w| w.stamp != 0).count()
     }
 
     /// Returns `true` if no entries are resident.
     pub fn is_empty(&self) -> bool {
-        self.stamps.iter().all(|&s| s == 0)
+        self.ways.iter().all(|w| w.stamp == 0)
     }
 }
 

@@ -13,21 +13,27 @@
 //! covering the near future `[now, now + WHEEL_BUCKETS)`, an occupancy
 //! bitmap (one bit per bucket, scanned a 64-bucket word at a time), and a
 //! sorted overflow tree for events beyond the horizon (watchdog-scale
-//! timers, far-future retries, deeply backlogged banks). Scheduling and
-//! popping inside the horizon are O(1) amortized — a push to a bucket deque
-//! and a bitmap probe — versus the O(log n) sift of the previous
-//! `BinaryHeap` engine (kept as [`reference::HeapQueue`], the oracle the
-//! equivalence proptests and `engine_bench` compare against).
+//! timers, far-future retries, deeply backlogged banks).
+//!
+//! Wheel events live in one node arena. Each bucket is an intrusive FIFO
+//! list through that arena — a head and a tail index — and freed nodes go
+//! on a LIFO free list, so a schedule reuses the node a drain just
+//! released and the whole wheel is three flat arrays. Scheduling and
+//! popping inside the horizon are O(1) amortized — a node link and a
+//! bitmap probe — versus the O(log n) sift of the previous `BinaryHeap`
+//! engine (kept as [`reference::HeapQueue`], the oracle the equivalence
+//! proptests and `engine_bench` compare against).
 //!
 //! # Tie-break contract
 //!
-//! Every scheduled event gets a monotonically increasing sequence number.
-//! Within one cycle, events are delivered in sequence order — exactly the
-//! order `schedule` was called — and an event scheduled *while* draining
-//! cycle `t` for cycle `t` lands after everything already pending at `t`
-//! (its sequence number is larger than all of theirs). This makes
-//! [`EventQueue::drain_cycle`] observationally identical to a `pop` loop:
-//! the batch boundary is invisible to the model.
+//! Within one cycle, events are delivered in exactly the order `schedule`
+//! was called, and an event scheduled *while* draining cycle `t` for cycle
+//! `t` lands after everything already pending at `t`. No sequence number
+//! is stored: FIFO order is list order, since a schedule appends at its
+//! bucket's tail and overflow events for a cycle migrate into the wheel
+//! (in their order) before the horizon lets a new schedule reach that
+//! cycle directly. This makes [`EventQueue::drain_cycle`] observationally
+//! identical to a `pop` loop: the batch boundary is invisible to the model.
 
 use crate::Cycle;
 use std::collections::{BTreeMap, VecDeque};
@@ -123,23 +129,49 @@ pub trait DesQueue<E> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
-    /// One deque per wheel bucket; bucket `c % WHEEL_BUCKETS` holds only
-    /// events at cycle `c` (the horizon is shorter than the wheel, so two
-    /// distinct pending cycles never share a bucket).
-    wheel: Vec<VecDeque<(u64, E)>>,
+    /// The node arena: every event in the wheel occupies one node, and
+    /// every node is on exactly one list — a bucket's FIFO or the free list.
+    nodes: Vec<Node<E>>,
+    /// First and last node of each bucket's FIFO list; bucket
+    /// `c % WHEEL_BUCKETS` holds only events at cycle `c` (the horizon is
+    /// shorter than the wheel, so two distinct pending cycles never share
+    /// a bucket).
+    buckets: Vec<Bucket>,
+    /// Head of the LIFO free list (`NIL` when empty): a drained batch is
+    /// spliced onto it whole, so the next schedule reuses a node whose
+    /// cache line was just touched.
+    free: u32,
     /// One occupancy bit per bucket, scanned 64 buckets per probe.
     occupied: [u64; WHEEL_WORDS],
     /// Events currently in the wheel.
     wheel_len: usize,
     /// Events beyond the horizon, keyed by cycle; each deque is in
     /// scheduling order. Invariant: every key is `>= now + WHEEL_BUCKETS`.
-    overflow: BTreeMap<Cycle, VecDeque<(u64, E)>>,
+    overflow: BTreeMap<Cycle, VecDeque<E>>,
     /// Events currently in the overflow tree.
     overflow_len: usize,
-    seq: u64,
     now: Cycle,
     scheduled: u64,
     processed: u64,
+}
+
+/// End of a list: an empty bucket, the last node of a FIFO, or an empty
+/// free list.
+const NIL: u32 = u32::MAX;
+
+/// One arena slot: an event (`None` while the node is free) and the next
+/// node on its list.
+#[derive(Debug, Clone)]
+struct Node<E> {
+    event: Option<E>,
+    next: u32,
+}
+
+/// The first and last node of one bucket's FIFO list (`NIL` when empty).
+#[derive(Debug, Clone, Copy)]
+struct Bucket {
+    head: u32,
+    tail: u32,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -152,12 +184,13 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue at cycle 0.
     pub fn new() -> Self {
         EventQueue {
-            wheel: (0..WHEEL_BUCKETS).map(|_| VecDeque::new()).collect(),
+            nodes: Vec::new(),
+            buckets: vec![Bucket { head: NIL, tail: NIL }; WHEEL_BUCKETS],
+            free: NIL,
             occupied: [0; WHEEL_WORDS],
             wheel_len: 0,
             overflow: BTreeMap::new(),
             overflow_len: 0,
-            seq: 0,
             now: 0,
             scheduled: 0,
             processed: 0,
@@ -195,11 +228,6 @@ impl<E> EventQueue<E> {
     }
 
     #[inline]
-    fn set_bit(&mut self, bucket: usize) {
-        self.occupied[bucket / 64] |= 1u64 << (bucket % 64);
-    }
-
-    #[inline]
     fn clear_bit(&mut self, bucket: usize) {
         self.occupied[bucket / 64] &= !(1u64 << (bucket % 64));
     }
@@ -212,18 +240,40 @@ impl<E> EventQueue<E> {
     /// events.
     pub fn schedule(&mut self, at: Cycle, event: E) {
         let at = at.max(self.now);
-        let seq = self.seq;
-        self.seq += 1;
         self.scheduled += 1;
         if at - self.now < WHEEL_BUCKETS as Cycle {
-            let bucket = Self::bucket_of(at);
-            self.wheel[bucket].push_back((seq, event));
-            self.set_bit(bucket);
-            self.wheel_len += 1;
+            self.push_wheel(at, event);
         } else {
-            self.overflow.entry(at).or_default().push_back((seq, event));
+            self.overflow.entry(at).or_default().push_back(event);
             self.overflow_len += 1;
         }
+    }
+
+    /// Appends `event` to the FIFO list of `at`'s bucket in a node taken
+    /// from the free list (or a new one when the list is empty).
+    fn push_wheel(&mut self, at: Cycle, event: E) {
+        let node = match self.free {
+            NIL => {
+                self.nodes.push(Node { event: Some(event), next: NIL });
+                (self.nodes.len() - 1) as u32
+            }
+            free => {
+                let slot = &mut self.nodes[free as usize];
+                self.free = slot.next;
+                *slot = Node { event: Some(event), next: NIL };
+                free
+            }
+        };
+        let bucket = Self::bucket_of(at);
+        let list = &mut self.buckets[bucket];
+        if list.head == NIL {
+            list.head = node;
+            self.occupied[bucket / 64] |= 1u64 << (bucket % 64);
+        } else {
+            self.nodes[list.tail as usize].next = node;
+        }
+        list.tail = node;
+        self.wheel_len += 1;
     }
 
     /// Schedules `event` to fire `delay` cycles after the current time.
@@ -267,16 +317,11 @@ impl<E> EventQueue<E> {
             if at >= horizon {
                 break;
             }
-            let Some(mut events) = self.overflow.remove(&at) else { break };
+            let Some(events) = self.overflow.remove(&at) else { break };
             self.overflow_len -= events.len();
-            self.wheel_len += events.len();
-            let bucket = Self::bucket_of(at);
-            debug_assert!(
-                self.wheel[bucket].is_empty() || self.wheel[bucket].front().is_some(),
-                "bucket holds one cycle at a time"
-            );
-            self.set_bit(bucket);
-            self.wheel[bucket].append(&mut events);
+            for event in events {
+                self.push_wheel(at, event);
+            }
         }
     }
 
@@ -298,8 +343,13 @@ impl<E> EventQueue<E> {
     pub fn pop(&mut self) -> Option<(Cycle, E)> {
         let at = self.seek_next()?;
         let bucket = Self::bucket_of(at);
-        let (_, event) = self.wheel[bucket].pop_front()?;
-        if self.wheel[bucket].is_empty() {
+        let node = self.buckets[bucket].head;
+        let slot = self.nodes.get_mut(node as usize)?;
+        let event = slot.event.take()?;
+        self.buckets[bucket].head = std::mem::replace(&mut slot.next, self.free);
+        self.free = node;
+        if self.buckets[bucket].head == NIL {
+            self.buckets[bucket].tail = NIL;
             self.clear_bit(bucket);
         }
         self.wheel_len -= 1;
@@ -312,18 +362,28 @@ impl<E> EventQueue<E> {
     /// and returns it.
     ///
     /// Events scheduled *for the drained cycle* while the batch is being
-    /// processed are not lost: they land in the (now empty) bucket and the
-    /// next `drain_cycle` call returns the same cycle again with just those
-    /// follow-ups — in exactly the order a `pop` loop would have delivered,
-    /// since their sequence numbers exceed every drained event's.
+    /// processed are not lost: they start a new list in the (now empty)
+    /// bucket — reusing the nodes the batch just freed — and the next
+    /// `drain_cycle` call returns the same cycle again with just those
+    /// follow-ups, in exactly the order a `pop` loop would have delivered.
     pub fn drain_cycle(&mut self, sink: &mut Vec<E>) -> Option<Cycle> {
         let at = self.seek_next()?;
         let bucket = Self::bucket_of(at);
-        let batch = &mut self.wheel[bucket];
-        let n = batch.len();
-        sink.reserve(n);
-        sink.extend(batch.drain(..).map(|(_, event)| event));
+        let Bucket { head, tail } = self.buckets[bucket];
+        self.buckets[bucket] = Bucket { head: NIL, tail: NIL };
         self.clear_bit(bucket);
+        let mut n = 0;
+        let mut node = head;
+        while let Some(slot) = self.nodes.get_mut(node as usize) {
+            sink.extend(slot.event.take());
+            n += 1;
+            node = slot.next;
+        }
+        // Splice the drained list onto the free list whole.
+        if let Some(last) = self.nodes.get_mut(tail as usize) {
+            last.next = self.free;
+            self.free = head;
+        }
         self.wheel_len -= n;
         self.processed += n as u64;
         Some(at)
@@ -727,6 +787,43 @@ mod tests {
         assert_eq!(q.drain_cycle(&mut sink), Some(5), "same cycle drains again");
         assert_eq!(sink, vec!["c", "d"]);
         q.check_counters();
+    }
+
+    /// Drains `q` to empty batch by batch. The first batch at cycle 5
+    /// schedules one cycle-5 follow-up per event; the second schedules one
+    /// cycle-6 follow-up per event. Returns every batch with its cycle.
+    fn replay_followups<Q: DesQueue<u32>>(q: &mut Q) -> Vec<(Cycle, Vec<u32>)> {
+        for (at, ev) in [(5, 1), (5, 2), (5, 3), (6, 10)] {
+            q.schedule(at, ev);
+        }
+        let mut batches = Vec::new();
+        let mut batch = Vec::new();
+        while let Some(t) = q.drain_cycle(&mut batch) {
+            for &ev in &batch {
+                match batches.len() {
+                    0 => q.schedule(t, ev + 100),
+                    1 => q.schedule(t + 1, ev + 200),
+                    _ => {}
+                }
+            }
+            batches.push((t, std::mem::take(&mut batch)));
+        }
+        batches
+    }
+
+    #[test]
+    fn followups_in_nodes_freed_by_a_drain_land_after_the_batch() {
+        let mut cal: EventQueue<u32> = EventQueue::new();
+        let got = replay_followups(&mut cal);
+        assert_eq!(
+            got,
+            vec![(5, vec![1, 2, 3]), (5, vec![101, 102, 103]), (6, vec![10, 301, 302, 303])]
+        );
+        assert_eq!(got, replay_followups(&mut reference::HeapQueue::new()));
+        // Every follow-up reused a node the previous batch released: the
+        // arena never grew past the four events first scheduled.
+        assert_eq!(cal.nodes.len(), 4);
+        cal.check_counters();
     }
 
     #[test]

@@ -10,6 +10,11 @@
 //! L1, 8192 for L2 in the default configuration). A full queue back-pressures
 //! the requestor, which retries on its next scan — the same behaviour as the
 //! paper's cyclic PE queue revisit.
+//!
+//! Each pending key's whole record — key, admission cycle and the two ends
+//! of its waiter chain — sits in its open-addressed slot, so a dedup or a
+//! completion touches one slot (plus the waiter nodes it links or walks)
+//! and nothing else.
 
 use crate::stats::LdqCounters;
 
@@ -35,23 +40,24 @@ const MIN_SLOTS: usize = 16;
 /// product spread consecutive block indices across the table.
 const HASH_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// One open-addressed index slot: a pending key and its entry's position
-/// in the slab (`NIL` when the slot is vacant).
+/// One open-addressed slot: a pending key, the simulated cycle it was
+/// admitted at (the latency-probe timestamp behind the `queue-age` gauge),
+/// and the first and last node of its waiter chain. `head == NIL` marks a
+/// vacant slot.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
-    key: u64,
-    entry: u32,
-}
-
-/// One in-flight key: the simulated cycle it was admitted at (the
-/// latency-probe timestamp behind the `queue-age` gauge) and the first and
-/// last node of its waiter chain.
-#[derive(Debug, Clone, Copy)]
-struct Entry {
     key: u64,
     since: u64,
     head: u32,
     tail: u32,
+}
+
+impl Slot {
+    const VACANT: Slot = Slot { key: 0, since: 0, head: NIL, tail: NIL };
+
+    fn is_vacant(&self) -> bool {
+        self.head == NIL
+    }
 }
 
 /// A parked waiter: a link in its key's FIFO chain, or in the free list.
@@ -66,14 +72,15 @@ struct Node<W> {
 /// `W` identifies a waiter (a PE queue slot, a bank-group id, a vault id…)
 /// and is handed back verbatim by [`LoadQueue::complete_into`].
 ///
-/// The state is three reusable arrays, so once a run has reached its peak
+/// The state is two reusable arrays, so once a run has reached its peak
 /// occupancy no push, dedup or completion allocates:
 ///
-/// * a dense slab of pending entries (completion swap-removes);
-/// * an open-addressed index from key to slab position — linear probing, a
+/// * an open-addressed table of pending keys, each slot holding its key's
+///   admission cycle and waiter-chain ends in place — linear probing, a
 ///   multiplicative hash, a power-of-two table kept at most half full
 ///   (doubling as keys arrive, including forced pushes past capacity), and
-///   backward-shift deletion, so no tombstones build up;
+///   backward-shift deletion, so no tombstones build up and a completion
+///   is one probe;
 /// * a slab of waiter nodes holding each key's waiters as a FIFO chain,
 ///   with completed chains spliced onto a free list.
 ///
@@ -98,7 +105,8 @@ pub struct LoadQueue<W> {
     slots: Vec<Slot>,
     /// `64 - log2(slots.len())`: the hash keeps the product's top bits.
     shift: u32,
-    entries: Vec<Entry>,
+    /// Keys currently in flight (occupied slots).
+    len: usize,
     nodes: Vec<Node<W>>,
     /// Head of the free-node list (`NIL` when empty).
     free: u32,
@@ -115,9 +123,9 @@ impl<W: Copy> LoadQueue<W> {
         assert!(capacity > 0, "load queue capacity must be positive");
         LoadQueue {
             capacity,
-            slots: vec![Slot { key: 0, entry: NIL }; MIN_SLOTS],
+            slots: vec![Slot::VACANT; MIN_SLOTS],
             shift: 64 - MIN_SLOTS.trailing_zeros(),
-            entries: Vec::new(),
+            len: 0,
             nodes: Vec::new(),
             free: NIL,
             counters: LdqCounters::default(),
@@ -131,12 +139,12 @@ impl<W: Copy> LoadQueue<W> {
 
     /// Number of keys currently in flight.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// Returns `true` if no keys are in flight.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 
     /// Returns `true` if `key` is currently in flight.
@@ -190,13 +198,12 @@ impl<W: Copy> LoadQueue<W> {
         let (slot, found) = self.probe(key);
         if found {
             let node = self.alloc_node(waiter);
-            let entry = &mut self.entries[self.slots[slot].entry as usize];
-            let tail = std::mem::replace(&mut entry.tail, node);
+            let tail = std::mem::replace(&mut self.slots[slot].tail, node);
             self.nodes[tail as usize].next = node;
             self.counters.deduplicated += 1;
             return LdqPush::Deduplicated;
         }
-        if self.entries.len() >= self.capacity {
+        if self.len >= self.capacity {
             self.counters.rejected_full += 1;
             if !forced {
                 return LdqPush::Full;
@@ -204,15 +211,15 @@ impl<W: Copy> LoadQueue<W> {
         }
         // Keep the table at most half full, so probe runs stay short and a
         // vacant slot always ends them.
-        let slot = if (self.entries.len() + 1) * 2 > self.slots.len() {
+        let slot = if (self.len + 1) * 2 > self.slots.len() {
             self.grow();
             self.probe(key).0
         } else {
             slot
         };
         let node = self.alloc_node(waiter);
-        self.slots[slot] = Slot { key, entry: self.entries.len() as u32 };
-        self.entries.push(Entry { key, since: now, head: node, tail: node });
+        self.slots[slot] = Slot { key, since: now, head: node, tail: node };
+        self.len += 1;
         self.counters.new_requests += 1;
         LdqPush::NewRequest
     }
@@ -227,14 +234,9 @@ impl<W: Copy> LoadQueue<W> {
         if !found {
             return 0;
         }
-        let ix = self.slots[slot].entry as usize;
+        let entry = self.slots[slot];
         self.remove_slot(slot);
-        let entry = self.entries.swap_remove(ix);
-        if let Some(moved) = self.entries.get(ix) {
-            // The last entry now sits at `ix`: repoint its index slot.
-            let (moved_slot, _) = self.probe(moved.key);
-            self.slots[moved_slot].entry = ix as u32;
-        }
+        self.len -= 1;
         let mut n = 0;
         let mut node = entry.head;
         while node != NIL {
@@ -253,8 +255,16 @@ impl<W: Copy> LoadQueue<W> {
     /// or 0 when the queue is empty. A *growing* age under steady
     /// occupancy is the signature of a stuck (not merely deep) queue —
     /// the stall-diagnosis signal occupancy gauges cannot provide.
+    ///
+    /// Scans the whole slot table: only observed runs' samplers call it,
+    /// never the event handlers.
     pub fn oldest_age(&self, now: u64) -> u64 {
-        self.entries.iter().map(|e| now.saturating_sub(e.since)).max().unwrap_or(0)
+        self.slots
+            .iter()
+            .filter(|s| !s.is_vacant())
+            .map(|s| now.saturating_sub(s.since))
+            .max()
+            .unwrap_or(0)
     }
 
     /// The slot holding `key` and `true`, or the vacant slot that ends its
@@ -263,8 +273,8 @@ impl<W: Copy> LoadQueue<W> {
         let mask = self.slots.len() - 1;
         let mut i = self.home(key);
         loop {
-            let s = self.slots[i];
-            if s.entry == NIL {
+            let s = &self.slots[i];
+            if s.is_vacant() {
                 return (i, false);
             }
             if s.key == key {
@@ -278,15 +288,14 @@ impl<W: Copy> LoadQueue<W> {
         (key.wrapping_mul(HASH_MUL) >> self.shift) as usize
     }
 
-    /// Doubles the index and re-inserts every pending key.
+    /// Doubles the table and re-inserts every pending slot.
     fn grow(&mut self) {
         let size = self.slots.len() * 2;
-        self.slots = vec![Slot { key: 0, entry: NIL }; size];
+        let old = std::mem::replace(&mut self.slots, vec![Slot::VACANT; size]);
         self.shift = 64 - size.trailing_zeros();
-        for ix in 0..self.entries.len() {
-            let key = self.entries[ix].key;
-            let (slot, _) = self.probe(key);
-            self.slots[slot] = Slot { key, entry: ix as u32 };
+        for s in old.into_iter().filter(|s| !s.is_vacant()) {
+            let (slot, _) = self.probe(s.key);
+            self.slots[slot] = s;
         }
     }
 
@@ -299,7 +308,7 @@ impl<W: Copy> LoadQueue<W> {
         loop {
             i = (i + 1) & mask;
             let s = self.slots[i];
-            if s.entry == NIL {
+            if s.is_vacant() {
                 break;
             }
             let displacement = i.wrapping_sub(self.home(s.key)) & mask;
@@ -308,7 +317,7 @@ impl<W: Copy> LoadQueue<W> {
                 hole = i;
             }
         }
-        self.slots[hole].entry = NIL;
+        self.slots[hole].head = NIL;
     }
 
     /// A node holding `waiter` at the end of a chain, reusing a freed one
@@ -423,6 +432,34 @@ mod tests {
         assert_eq!(q.oldest_age(50), 20);
         complete(&mut q, 2);
         assert_eq!(q.oldest_age(50), 2);
+    }
+
+    #[test]
+    fn oldest_age_survives_growth_and_backward_shift() {
+        // A random walk of pushes and completions over keys that collide in
+        // the table (multiples of 64), growing it from 16 slots past 256
+        // and deleting out of long probe runs, checked against a map from
+        // key to admission cycle after every step.
+        let mut q: LoadQueue<u32> = LoadQueue::new(1024);
+        let mut model: std::collections::BTreeMap<u64, u64> = Default::default();
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for now in 0..6_000u64 {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let r = state >> 33;
+            if r % 5 < 3 || model.is_empty() {
+                let key = (r >> 3) % 400 * 64;
+                q.push_forced_at(key, 0, now);
+                model.entry(key).or_insert(now);
+            } else {
+                let key = model.keys().copied().nth((r >> 3) as usize % model.len()).unwrap_or(0);
+                assert!(!complete(&mut q, key).is_empty());
+                model.remove(&key);
+            }
+            let oldest = model.values().map(|&since| now - since).max().unwrap_or(0);
+            assert_eq!(q.oldest_age(now), oldest, "step {now}");
+            assert_eq!(q.len(), model.len());
+        }
+        assert!(q.slots.len() >= 512, "the walk must have grown the table");
     }
 
     #[test]
